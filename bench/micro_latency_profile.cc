@@ -14,10 +14,13 @@
 // sim-events/sec, and — when built with MEMFS_PROFILE_ALLOC, which this
 // target is — global heap allocation/free counts, as JSON on stdout in the
 // BENCH_scale.json schema. --sweep adds a Montage-6/MemFS node sweep
-// (8 → 1024). --baseline=FILE compares the measured 64-node sim-events/sec
-// against the committed baseline and exits nonzero on a >20% regression
-// (override the tolerance with MEMFS_PERF_GATE_TOLERANCE when gating on
-// hardware other than the baseline's).
+// (8 → 1024). --baseline=FILE compares the measured 64-node point against
+// the committed baseline and exits nonzero on a >20% sim-events/sec
+// regression (override the tolerance with MEMFS_PERF_GATE_TOLERANCE when
+// gating on hardware other than the baseline's) or when heap allocations
+// per simulated event exceed the baseline's by more than 5%. Allocation
+// counts repeat exactly from run to run, so that tolerance only absorbs
+// standard-library differences, never noise.
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
@@ -282,11 +285,34 @@ int RunScaleProfile(bool sweep, const std::string& baseline_path) {
     std::cerr << "perf gate: measured " << measured
               << " sim-events/sec, baseline " << baseline_eps << ", floor "
               << floor << "\n";
+    bool failed = false;
     if (measured < floor) {
       std::cerr << "perf gate: FAIL (sim-events/sec regressed more than "
                 << tolerance * 100.0 << "%)\n";
+      failed = true;
+    }
+#ifdef MEMFS_PROFILE_ALLOC
+    const double baseline_allocs = JsonNumberAfter(text, "heap_allocs", at);
+    const double baseline_events = JsonNumberAfter(text, "sim_events", at);
+    if (baseline_allocs <= 0.0 || baseline_events <= 0.0) {
+      std::cerr << "perf gate: baseline has no fig08_64 heap_allocs\n";
       return 1;
     }
+    constexpr double kAllocTolerance = 0.05;
+    const double allocs_per_event =
+        static_cast<double>(fig08.heap_allocs) /
+        static_cast<double>(fig08.sim_events);
+    const double alloc_ceiling =
+        baseline_allocs / baseline_events * (1.0 + kAllocTolerance);
+    std::cerr << "perf gate: measured " << allocs_per_event
+              << " heap allocs/event, ceiling " << alloc_ceiling << "\n";
+    if (allocs_per_event > alloc_ceiling) {
+      std::cerr << "perf gate: FAIL (heap allocs/event grew more than "
+                << kAllocTolerance * 100.0 << "%)\n";
+      failed = true;
+    }
+#endif
+    if (failed) return 1;
     std::cerr << "perf gate: ok\n";
   }
   return 0;

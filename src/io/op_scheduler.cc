@@ -149,9 +149,17 @@ sim::Task OpScheduler::RunDrain(Lane* lane) {
     co_await lane->window->Acquire();
     const kv::BatchKind kind = lane->queue.front().kind;
     std::vector<PendingOp> batch;
-    std::deque<PendingOp> rest;
+    if (!lane->spare_batches.empty()) {
+      batch = std::move(lane->spare_batches.back());
+      lane->spare_batches.pop_back();
+    }
+    // Split the queue in place: members move into the batch, the rest close
+    // up behind one another in arrival order.
+    std::vector<PendingOp>& queue = lane->queue;
     std::uint64_t batch_bytes = 0;
-    for (PendingOp& op : lane->queue) {
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < queue.size(); ++i) {
+      PendingOp& op = queue[i];
       const std::uint64_t op_bytes = op.key.size() + op.value.StoredSize();
       const bool fits =
           op.kind == kind && batch.size() < config_.max_batch_ops &&
@@ -160,10 +168,12 @@ sim::Task OpScheduler::RunDrain(Lane* lane) {
         batch_bytes += op_bytes;
         batch.push_back(std::move(op));
       } else {
-        rest.push_back(std::move(op));
+        if (kept != i) queue[kept] = std::move(op);
+        ++kept;
       }
     }
-    lane->queue = std::move(rest);
+    queue.erase(queue.begin() + static_cast<std::ptrdiff_t>(kept),
+                queue.end());
     GaugeAdd(lane->queued_gauge,
              -static_cast<std::int64_t>(batch.size()));
     RunBatch(lane, kind, std::move(batch));
@@ -183,7 +193,7 @@ sim::Task OpScheduler::RunBatch(Lane* lane, kv::BatchKind kind,
   std::vector<kv::BatchItem> items;
   items.reserve(ops.size());
   for (PendingOp& op : ops) {
-    items.push_back(kv::BatchItem{op.key, std::move(op.value)});
+    items.push_back(kv::BatchItem{std::move(op.key), std::move(op.value)});
   }
   // The batch RPC's span lives under the first member's wait span; the other
   // members' wait spans cover the same interval in their own traces.
@@ -206,6 +216,8 @@ sim::Task OpScheduler::RunBatch(Lane* lane, kv::BatchKind kind,
       op.status_done.Set(std::move(result.status));
     }
   }
+  ops.clear();
+  lane->spare_batches.push_back(std::move(ops));
 }
 
 }  // namespace memfs::io

@@ -34,7 +34,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 #include <utility>
@@ -124,7 +123,13 @@ class OpScheduler {
   struct Lane {
     net::NodeId client = 0;
     std::uint32_t server = 0;
-    std::deque<PendingOp> queue;
+    // Ops waiting to join a batch, in arrival order. Each drain round splits
+    // it in place, so its capacity is reused round after round.
+    std::vector<PendingOp> queue;
+    // Emptied batch vectors returned by finished RunBatch calls; the next
+    // round takes one back instead of allocating (at most `window` + 1 ever
+    // exist per lane).
+    std::vector<std::vector<PendingOp>> spare_batches;
     bool draining = false;
     std::unique_ptr<sim::BoundedPool> window;
     // Monitor gauges, aggregated per server (lanes from different clients to

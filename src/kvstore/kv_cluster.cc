@@ -1,8 +1,11 @@
 #include "kvstore/kv_cluster.h"
 
-#include <functional>
+#include <algorithm>
 #include <memory>
+#include <type_traits>
 #include <utility>
+
+#include "sim/pool_alloc.h"
 
 namespace memfs::kv {
 
@@ -24,6 +27,17 @@ struct RaceState {
     settled = true;
     promise.Set(std::move(value));
   }
+};
+
+// A single-key operation as its attempts see it. RunWithRetry and every
+// attempt share one pooled block. A mutation's payload is consumed by its one
+// commit (ApplyBatchItem moves it into the server); every retryable failure
+// happens before the commit point, so no later attempt sees it moved-from.
+struct SingleOp {
+  BatchKind kind;
+  BatchItem item;              // key, plus the payload for mutations
+  std::uint64_t request_bytes;
+  sim::SimTime service;        // mutations; a GET is priced on its value
 };
 
 namespace {
@@ -105,9 +119,7 @@ sim::Task RunDeadline(sim::Simulation& sim, std::shared_ptr<RaceState<T>> race,
 // here: the frame ends it on every exit path).
 sim::Task RunMutationAttempt(sim::Simulation& sim, net::Network& network,
                              KvCluster::ServerSlotAccess slot,
-                             net::NodeId client, std::uint64_t request_bytes,
-                             sim::SimTime service_time,
-                             std::shared_ptr<std::function<Status()>> apply,
+                             net::NodeId client, std::shared_ptr<SingleOp> op,
                              std::shared_ptr<RaceState<Status>> race,
                              std::uint64_t ack_bytes,
                              sim::SimTime failure_timeout,
@@ -123,7 +135,7 @@ sim::Task RunMutationAttempt(sim::Simulation& sim, net::Network& network,
   }
   {
     trace::ScopedSpan leg(ctx, "net.request", "net");
-    co_await network.Transfer(client, slot.node, request_bytes);
+    co_await network.Transfer(client, slot.node, op->request_bytes);
   }
   if (*slot.down) {
     trace::Event(ctx, "server_down");
@@ -143,7 +155,7 @@ sim::Task RunMutationAttempt(sim::Simulation& sim, net::Network& network,
     trace::ScopedSpan service = trace::ScopedSpan::Adopt(
         trace::ChildOn(ctx, "kv.service", "kv.service", slot.node));
     co_await sim.Delay(static_cast<sim::SimTime>(
-        static_cast<double>(service_time) * *slot.slow_factor));
+        static_cast<double>(op->service) * *slot.slow_factor));
   }
   if (race->settled) {
     // The client gave up on this attempt; cancellation reaches the server
@@ -156,7 +168,7 @@ sim::Task RunMutationAttempt(sim::Simulation& sim, net::Network& network,
   }
   race->applied = true;
   trace::Event(ctx, "commit");
-  Status status = (*apply)();
+  Status status = slot.state->ApplyBatchItem(op->kind, op->item).status;
   SyncStorageGauges(slot);
   slot.workers->Release();
   GaugeAdd(slot.inflight_gauge, -1);
@@ -171,8 +183,7 @@ sim::Task RunMutationAttempt(sim::Simulation& sim, net::Network& network,
 // any phase and the value-sized reply leg is skipped once abandoned.
 sim::Task RunGetAttempt(sim::Simulation& sim, net::Network& network,
                         KvCluster::ServerSlotAccess slot, net::NodeId client,
-                        std::uint64_t request_bytes, const KvOpCostModel& cost,
-                        KvServer* state, std::string key,
+                        const KvOpCostModel& cost, std::shared_ptr<SingleOp> op,
                         std::shared_ptr<RaceState<Result<Bytes>>> race,
                         trace::TraceContext ctx) {
   trace::ScopedSpan attempt = trace::ScopedSpan::Adopt(ctx);
@@ -184,7 +195,7 @@ sim::Task RunGetAttempt(sim::Simulation& sim, net::Network& network,
   }
   {
     trace::ScopedSpan leg(ctx, "net.request", "net");
-    co_await network.Transfer(client, slot.node, request_bytes);
+    co_await network.Transfer(client, slot.node, op->request_bytes);
   }
   if (*slot.down) {
     trace::Event(ctx, "server_down");
@@ -200,7 +211,7 @@ sim::Task RunGetAttempt(sim::Simulation& sim, net::Network& network,
   }
   GaugeAdd(slot.queue_gauge, -1);
   GaugeAdd(slot.inflight_gauge, 1);
-  Result<Bytes> result = state->Get(key);
+  Result<Bytes> result = slot.state->Get(op->item.key);
   const std::uint64_t value_bytes =
       result.ok() ? result.value().StoredSize() : 0;
   const auto service =
@@ -230,21 +241,30 @@ sim::Task RunGetAttempt(sim::Simulation& sim, net::Network& network,
 }  // namespace
 
 // Outcome slot for one batch attempt. Mirrors RaceState, generalized to
-// per-item granularity: `resolved[i]` marks that item i's verdict streamed
-// back to the client (for mutations this is also the commit point —
-// resolved <=> applied), `finished` marks the full acknowledgement, and
-// `attempt_error` is the verdict every unresolved item inherits when the
-// attempt is cut off.
+// per-item granularity: each entry names one still-unresolved item of the
+// master list; `resolved` marks that its verdict streamed back to the client
+// (for mutations this is also the commit point — resolved <=> applied),
+// `finished` marks the full acknowledgement, and `attempt_error` is the
+// verdict every unresolved item inherits when the attempt is cut off.
 struct BatchAttempt {
-  BatchAttempt(sim::Simulation& sim, std::size_t items)
-      : done(sim), results(items), resolved(items, 0) {}
+  struct Entry {
+    std::size_t index = 0;  // position in the batch's master item list
+    bool resolved = false;
+    BatchItemResult result;
+  };
+
+  BatchAttempt(sim::Simulation& sim, const std::vector<std::size_t>& active)
+      : done(sim), entries(active.size()) {
+    for (std::size_t j = 0; j < active.size(); ++j) {
+      entries[j].index = active[j];
+    }
+  }
 
   sim::VoidPromise done;
   bool settled = false;   // the client stopped waiting on this attempt
   bool finished = false;  // the batch acknowledgement arrived
   Status attempt_error;
-  std::vector<BatchItemResult> results;
-  std::vector<std::uint8_t> resolved;
+  std::vector<Entry> entries;
 
   void Settle() {
     if (settled) return;
@@ -283,16 +303,12 @@ sim::Task RunBatchDeadline(sim::Simulation& sim,
                            sim::SimTime deadline) {
   co_await sim.Delay(deadline);
   if (attempt->settled || attempt->finished) co_return;
-  bool all_resolved = true;
-  for (std::uint8_t r : attempt->resolved) {
-    if (r == 0) {
-      all_resolved = false;
-      break;
-    }
-  }
   // Every item committed: only the acknowledgement is outstanding, so let it
   // finish (same rule as the single-op watchdog after the commit point).
-  if (all_resolved) co_return;
+  if (std::all_of(attempt->entries.begin(), attempt->entries.end(),
+                  [](const BatchAttempt::Entry& e) { return e.resolved; })) {
+    co_return;
+  }
   attempt->attempt_error = status::DeadlineExceeded("op deadline");
   attempt->Settle();
 }
@@ -300,9 +316,9 @@ sim::Task RunBatchDeadline(sim::Simulation& sim,
 // One batch attempt: ship all items in one message (one header_bytes framing
 // cost), process them in order under a single worker slot with per-item
 // service time, stream each item's verdict at its commit point, and close
-// with one acknowledgement. `indices` selects the still-unresolved items of
-// the master list; resolved mutations move their payload into the server, so
-// a later round never re-sends (or re-applies) them. The final reply leg
+// with one acknowledgement. The attempt's entries select the still-unresolved
+// items of the master list; resolved mutations move their payload into the
+// server, so a later round never re-sends (or re-applies) them. The final reply leg
 // carries all GET values at once; verdicts streamed before a mid-batch
 // cancellation are considered delivered without charging a per-item ack —
 // item acks are status-sized and folded into the batch framing.
@@ -311,13 +327,12 @@ sim::Task RunBatchAttempt(sim::Simulation& sim, net::Network& network,
                           const KvOpCostModel& cost, BatchKind kind,
                           KvServer* state,
                           std::shared_ptr<std::vector<BatchItem>> items,
-                          std::shared_ptr<std::vector<std::size_t>> indices,
                           std::shared_ptr<BatchAttempt> attempt,
                           trace::TraceContext ctx) {
   trace::ScopedSpan span = trace::ScopedSpan::Adopt(ctx);
   std::uint64_t request_bytes = cost.header_bytes;
-  for (std::size_t index : *indices) {
-    const BatchItem& item = (*items)[index];
+  for (const BatchAttempt::Entry& entry : attempt->entries) {
+    const BatchItem& item = (*items)[entry.index];
     request_bytes += item.key.size() + item.value.StoredSize();
   }
   if (network.DropMessage(client, slot.node)) {
@@ -347,8 +362,8 @@ sim::Task RunBatchAttempt(sim::Simulation& sim, net::Network& network,
   GaugeAdd(slot.queue_gauge, -1);
   GaugeAdd(slot.inflight_gauge, 1);
   std::uint64_t reply_payload = 0;
-  for (std::size_t j = 0; j < indices->size(); ++j) {
-    BatchItem& item = (*items)[(*indices)[j]];
+  for (std::size_t j = 0; j < attempt->entries.size(); ++j) {
+    BatchItem& item = (*items)[attempt->entries[j].index];
     BatchItemResult result;
     bool applied = false;
     sim::SimTime service;
@@ -386,8 +401,8 @@ sim::Task RunBatchAttempt(sim::Simulation& sim, net::Network& network,
     if (kind == BatchKind::kGet && result.status.ok()) {
       reply_payload += result.value.StoredSize();
     }
-    attempt->results[j] = std::move(result);
-    attempt->resolved[j] = 1;
+    attempt->entries[j].result = std::move(result);
+    attempt->entries[j].resolved = true;
     SyncStorageGauges(slot);
   }
   slot.workers->Release();
@@ -438,11 +453,10 @@ std::uint32_t KvCluster::AddServer(net::NodeId node) {
 }
 
 template <typename T>
-sim::Task KvCluster::RunWithRetry(
-    std::uint32_t server,
-    std::function<void(std::shared_ptr<RaceState<T>>, trace::TraceContext)>
-        launch,
-    sim::Promise<T> done, trace::TraceContext op_span) {
+sim::Task KvCluster::RunWithRetry(std::uint32_t server, net::NodeId client,
+                                  std::shared_ptr<SingleOp> request,
+                                  sim::Promise<T> done,
+                                  trace::TraceContext op_span) {
   trace::ScopedSpan op = trace::ScopedSpan::Adopt(op_span);
   auto& slot = servers_[server];
   RetryState retry(policy_.retry, sim_.now());
@@ -467,14 +481,21 @@ sim::Task KvCluster::RunWithRetry(
       trace::Event(op_span, "breaker_fast_fail");
       result = ErrorResult<T>(status::Unavailable("circuit breaker open"));
     } else {
-      auto race = std::make_shared<RaceState<T>>(sim_);
+      auto race = sim::detail::MakePooled<RaceState<T>>(sim_);
       auto attempt = race->promise.GetFuture();
       trace::TraceContext attempt_span =
           trace::Child(op_span, "kv.attempt", "kv.attempt");
-      trace::Annotate(attempt_span, "attempt", std::to_string(++attempts));
+      trace::Annotate(attempt_span, "attempt", ++attempts);
       ++stats_.single_rpcs;
       ++slot.client_stats.single_ops;
-      launch(race, attempt_span);
+      if constexpr (std::is_same_v<T, Status>) {
+        RunMutationAttempt(sim_, network_, AccessOf(slot), client, request,
+                           race, cost_.header_bytes, cost_.failure_timeout,
+                           attempt_span);
+      } else {
+        RunGetAttempt(sim_, network_, AccessOf(slot), client, cost_, request,
+                      race, attempt_span);
+      }
       if (policy_.op_deadline > 0) {
         RunDeadline<T>(sim_, race, policy_.op_deadline);
       }
@@ -523,6 +544,8 @@ sim::Task KvCluster::RunBatchWithRetry(
   auto& slot = servers_[server];
   const std::size_t total = items->size();
   std::vector<BatchItemResult> outcomes(total);
+  // Still-unresolved items (indices into *items); each round refills it with
+  // the attempt's leftovers.
   std::vector<std::size_t> active(total);
   for (std::size_t i = 0; i < total; ++i) active[i] = i;
   RetryState retry(policy_.retry, sim_.now());
@@ -549,12 +572,12 @@ sim::Task KvCluster::RunBatchWithRetry(
             BatchItemResult{status::Unavailable("circuit breaker open"), {}};
       }
     } else {
-      auto attempt = std::make_shared<BatchAttempt>(sim_, active.size());
+      auto attempt = sim::detail::MakePooled<BatchAttempt>(sim_, active);
       auto settled = attempt->done.GetFuture();
       trace::TraceContext attempt_span =
           trace::Child(op_span, "kv.batch.attempt", "kv.attempt");
-      trace::Annotate(attempt_span, "attempt", std::to_string(++attempts));
-      trace::Annotate(attempt_span, "items", std::to_string(active.size()));
+      trace::Annotate(attempt_span, "attempt", ++attempts);
+      trace::Annotate(attempt_span, "items", active.size());
       ++stats_.batch_rpcs;
       stats_.batch_items += active.size();
       ++slot.client_stats.batches;
@@ -562,9 +585,8 @@ sim::Task KvCluster::RunBatchWithRetry(
       if (metrics_ != nullptr) {
         metrics_->Histogram("kv.batch.size").Record(active.size());
       }
-      auto indices = std::make_shared<std::vector<std::size_t>>(active);
       RunBatchAttempt(sim_, network_, AccessOf(slot), client, cost_, kind,
-                      slot.state.get(), items, indices, attempt, attempt_span);
+                      slot.state.get(), items, attempt, attempt_span);
       if (policy_.op_deadline > 0) {
         RunBatchDeadline(sim_, attempt, policy_.op_deadline);
       }
@@ -572,14 +594,13 @@ sim::Task KvCluster::RunBatchWithRetry(
       // Demultiplex: streamed verdicts are final (and, for mutations,
       // committed — never re-sent); unresolved items inherit the attempt
       // error and form the next round.
-      std::vector<std::size_t> failed;
-      for (std::size_t j = 0; j < indices->size(); ++j) {
-        const std::size_t index = (*indices)[j];
-        if (attempt->resolved[j] != 0) {
-          outcomes[index] = std::move(attempt->results[j]);
+      active.clear();
+      for (BatchAttempt::Entry& entry : attempt->entries) {
+        if (entry.resolved) {
+          outcomes[entry.index] = std::move(entry.result);
         } else {
-          outcomes[index] = BatchItemResult{attempt->attempt_error, {}};
-          failed.push_back(index);
+          outcomes[entry.index] = BatchItemResult{attempt->attempt_error, {}};
+          active.push_back(entry.index);
         }
       }
       if (attempt->finished) {
@@ -600,7 +621,6 @@ sim::Task KvCluster::RunBatchWithRetry(
       }
       GaugeSet(slot.breaker_gauge,
                static_cast<std::int64_t>(slot.breaker.state()));
-      active = std::move(failed);
     }
     if (active.empty()) break;
     const RetryState::Backoff backoff = retry.NextBackoff(rng_, sim_.now());
@@ -617,32 +637,23 @@ sim::Task KvCluster::RunBatchWithRetry(
 }
 
 sim::Future<Status> KvCluster::Mutate(net::NodeId client, std::uint32_t server,
-                                      std::uint64_t request_bytes,
-                                      sim::SimTime service,
-                                      std::function<Status()> apply,
-                                      const char* metric,
+                                      BatchKind kind, std::string key,
+                                      Bytes value, const char* metric,
                                       trace::TraceContext trace) {
-  auto& slot = servers_[server];
   sim::Promise<Status> done(sim_);
   auto future = done.GetFuture();
+  const std::uint64_t request =
+      cost_.header_bytes + key.size() + value.StoredSize();
   trace::TraceContext op_span = trace::Child(trace, metric, "kv");
-  trace::Annotate(op_span, "server", std::to_string(server));
-  trace::Annotate(op_span, "bytes", std::to_string(request_bytes));
-  // The apply closure is shared across attempts but invoked at most once per
-  // operation: every retryable failure happens before the commit point.
-  auto shared_apply =
-      std::make_shared<std::function<Status()>>(std::move(apply));
-  const ServerSlotAccess access = AccessOf(slot);
+  trace::Annotate(op_span, "server", server);
+  trace::Annotate(op_span, "bytes", request);
+  const sim::SimTime service =
+      BatchItemService(cost_, kind, value.StoredSize());
   RunWithRetry<Status>(
-      server,
-      [this, access, client, request_bytes, service,
-       shared_apply](std::shared_ptr<RaceState<Status>> race,
-                     trace::TraceContext attempt_span) {
-        RunMutationAttempt(sim_, network_, access, client, request_bytes,
-                           service, shared_apply, std::move(race),
-                           cost_.header_bytes, cost_.failure_timeout,
-                           attempt_span);
-      },
+      server, client,
+      sim::detail::MakePooled<SingleOp>(SingleOp{
+          kind, BatchItem{std::move(key), std::move(value)}, request,
+          service}),
       std::move(done), op_span);
   if (metrics_ != nullptr) {
     RecordKvLatency(future, &sim_, &metrics_->Histogram(metric), sim_.now(),
@@ -654,58 +665,28 @@ sim::Future<Status> KvCluster::Mutate(net::NodeId client, std::uint32_t server,
 sim::Future<Status> KvCluster::Set(net::NodeId client, std::uint32_t server,
                                    std::string key, Bytes value,
                                    trace::TraceContext trace) {
-  auto* state = servers_[server].state.get();
-  const std::uint64_t request =
-      cost_.header_bytes + key.size() + value.StoredSize();
-  const sim::SimTime service =
-      ServiceTime(cost_.set_base, cost_.set_ns_per_byte, value.StoredSize());
-  return Mutate(client, server, request, service,
-                [state, key = std::move(key),
-                 value = std::move(value)]() mutable {
-                  return state->Set(key, std::move(value));
-                },
-                "kv.set", trace);
+  return Mutate(client, server, BatchKind::kSet, std::move(key),
+                std::move(value), "kv.set", trace);
 }
 
 sim::Future<Status> KvCluster::Add(net::NodeId client, std::uint32_t server,
                                    std::string key, Bytes value,
                                    trace::TraceContext trace) {
-  auto* state = servers_[server].state.get();
-  const std::uint64_t request =
-      cost_.header_bytes + key.size() + value.StoredSize();
-  const sim::SimTime service =
-      ServiceTime(cost_.set_base, cost_.set_ns_per_byte, value.StoredSize());
-  return Mutate(client, server, request, service,
-                [state, key = std::move(key),
-                 value = std::move(value)]() mutable {
-                  return state->Add(key, std::move(value));
-                },
-                "kv.add", trace);
+  return Mutate(client, server, BatchKind::kAdd, std::move(key),
+                std::move(value), "kv.add", trace);
 }
 
 sim::Future<Status> KvCluster::Append(net::NodeId client, std::uint32_t server,
                                       std::string key, Bytes suffix,
                                       trace::TraceContext trace) {
-  auto* state = servers_[server].state.get();
-  const std::uint64_t request =
-      cost_.header_bytes + key.size() + suffix.StoredSize();
-  const sim::SimTime service = ServiceTime(
-      cost_.append_base, cost_.append_ns_per_byte, suffix.StoredSize());
-  return Mutate(client, server, request, service,
-                [state, key = std::move(key),
-                 suffix = std::move(suffix)]() mutable {
-                  return state->Append(key, suffix);
-                },
-                "kv.append", trace);
+  return Mutate(client, server, BatchKind::kAppend, std::move(key),
+                std::move(suffix), "kv.append", trace);
 }
 
 sim::Future<Status> KvCluster::Delete(net::NodeId client, std::uint32_t server,
                                       std::string key,
                                       trace::TraceContext trace) {
-  auto* state = servers_[server].state.get();
-  const std::uint64_t request = cost_.header_bytes + key.size();
-  return Mutate(client, server, request, cost_.delete_base,
-                [state, key = std::move(key)] { return state->Delete(key); },
+  return Mutate(client, server, BatchKind::kDelete, std::move(key), Bytes(),
                 "kv.delete", trace);
 }
 
@@ -713,23 +694,15 @@ sim::Future<Result<Bytes>> KvCluster::Get(net::NodeId client,
                                           std::uint32_t server,
                                           std::string key,
                                           trace::TraceContext trace) {
-  auto& slot = servers_[server];
   sim::Promise<Result<Bytes>> done(sim_);
   auto future = done.GetFuture();
   const std::uint64_t request = cost_.header_bytes + key.size();
   trace::TraceContext op_span = trace::Child(trace, "kv.get", "kv");
-  trace::Annotate(op_span, "server", std::to_string(server));
-  auto* state = slot.state.get();
-  const ServerSlotAccess access = AccessOf(slot);
-  auto shared_key = std::make_shared<std::string>(std::move(key));
+  trace::Annotate(op_span, "server", server);
   RunWithRetry<Result<Bytes>>(
-      server,
-      [this, access, client, request, state,
-       shared_key](std::shared_ptr<RaceState<Result<Bytes>>> race,
-                   trace::TraceContext attempt_span) {
-        RunGetAttempt(sim_, network_, access, client, request, cost_, state,
-                      *shared_key, std::move(race), attempt_span);
-      },
+      server, client,
+      sim::detail::MakePooled<SingleOp>(SingleOp{
+          BatchKind::kGet, BatchItem{std::move(key), Bytes()}, request, 0}),
       std::move(done), op_span);
   if (metrics_ != nullptr) {
     RecordKvLatency(future, &sim_, &metrics_->Histogram("kv.get"), sim_.now(),
@@ -748,10 +721,11 @@ sim::Future<std::vector<BatchItemResult>> KvCluster::Batch(
     return future;
   }
   trace::TraceContext op_span = trace::Child(trace, "kv.batch", "kv");
-  trace::Annotate(op_span, "server", std::to_string(server));
+  trace::Annotate(op_span, "server", server);
   trace::Annotate(op_span, "kind", BatchKindName(kind));
-  trace::Annotate(op_span, "items", std::to_string(items.size()));
-  auto shared = std::make_shared<std::vector<BatchItem>>(std::move(items));
+  trace::Annotate(op_span, "items", items.size());
+  auto shared =
+      sim::detail::MakePooled<std::vector<BatchItem>>(std::move(items));
   RunBatchWithRetry(server, kind, client, shared, std::move(done), op_span);
   if (metrics_ != nullptr) {
     const std::string metric = std::string("kv.batch.") + BatchKindName(kind);

@@ -21,7 +21,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -46,6 +45,10 @@ namespace memfs::kv {
 // watchdog (defined in kv_cluster.cc).
 template <typename T>
 struct RaceState;
+
+// One single-key operation (kind, key, payload, price) shared by its retry
+// loop and every attempt (defined in kv_cluster.cc).
+struct SingleOp;
 
 struct KvOpCostModel {
   // Server-side service time = base + size * ns_per_byte.
@@ -251,36 +254,29 @@ class KvCluster {
     std::int64_t* breaker_gauge = nullptr;
   };
 
-  sim::SimTime ServiceTime(sim::SimTime base, double ns_per_byte,
-                           std::uint64_t bytes) const {
-    return base + static_cast<sim::SimTime>(ns_per_byte *
-                                            static_cast<double>(bytes));
-  }
-
   ServerSlotAccess AccessOf(ServerSlot& slot) const {
     return {slot.node,          slot.workers.get(), &slot.down,
             &slot.slow_factor,  slot.state.get(),   slot.mem_gauge,
             slot.objects_gauge, slot.queue_gauge,   slot.inflight_gauge};
   }
 
-  // Retry driver: runs `launch` attempts (each writing into a fresh race
+  // Retry loop: runs attempts of `request` (each writing into a fresh race
   // slot, under a fresh "kv.attempt" child of `op_span`) under the client
   // policy until success, a non-retryable status, or exhaustion. T is Status
-  // or Result<Bytes>. Owns ending `op_span`.
+  // (mutations) or Result<Bytes> (GET). Owns ending `op_span`.
   template <typename T>
-  sim::Task RunWithRetry(
-      std::uint32_t server,
-      std::function<void(std::shared_ptr<RaceState<T>>, trace::TraceContext)>
-          launch,
-      sim::Promise<T> done, trace::TraceContext op_span);
+  sim::Task RunWithRetry(std::uint32_t server, net::NodeId client,
+                         std::shared_ptr<SingleOp> request,
+                         sim::Promise<T> done,
+                         trace::TraceContext op_span);
 
-  // Shared front half of Set/Add/Append/Delete: wraps `apply` (already bound
-  // to the server state, key and value) in the retry driver and records the
-  // client-observed latency under `metric`.
-  [[nodiscard]] sim::Future<Status> Mutate(net::NodeId client, std::uint32_t server,
-                             std::uint64_t request_bytes, sim::SimTime service,
-                             std::function<Status()> apply,
-                             const char* metric, trace::TraceContext trace);
+  // Shared front half of Set/Add/Append/Delete: prices the request, hands it
+  // to RunWithRetry and records the client-observed latency under `metric`.
+  [[nodiscard]] sim::Future<Status> Mutate(net::NodeId client,
+                                           std::uint32_t server,
+                                           BatchKind kind, std::string key,
+                                           Bytes value, const char* metric,
+                                           trace::TraceContext trace);
 
   // Batch retry driver: sends the still-unresolved items as one batch
   // attempt per round, demultiplexes the per-item verdicts (resolved items

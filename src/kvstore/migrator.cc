@@ -131,8 +131,7 @@ sim::Task Migrator::RunLoop(sim::Promise<Status> done,
     SyncGauges();
     {
       trace::ScopedSpan sweep_span(tctx, "migrate.sweep", "migrate");
-      trace::Annotate(sweep_span.context(), "pending",
-                      std::to_string(pending.size()));
+      trace::Annotate(sweep_span.context(), "pending", pending.size());
       SweepState sweep(sim_, std::max<std::uint32_t>(config_.max_inflight, 1));
       const std::size_t chunk_size =
           std::max<std::uint32_t>(config_.batch_keys, 1);
@@ -170,7 +169,7 @@ sim::Task Migrator::MoveChunk(std::vector<std::string> keys,
   co_await sweep->chunk_slots.Acquire();
   trace::ScopedSpan span(trace, "migrate.handoff", "migrate");
   const trace::TraceContext tctx = span.context();
-  trace::Annotate(tctx, "keys", std::to_string(keys.size()));
+  trace::Annotate(tctx, "keys", keys.size());
 
   // Lock every key of the chunk against writers. Keys are globally sorted
   // (the pending list is), and writers only ever hold one key at a time, so

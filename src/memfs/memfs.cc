@@ -726,7 +726,7 @@ sim::Task MemFs::DoWrite(VfsContext ctx, FileHandle handle, Bytes data,
                          sim::Promise<Status> done) {
   trace::ScopedSpan op_span = trace::ScopedSpan::Adopt(ctx.trace);
   const trace::TraceContext tctx = op_span.context();
-  trace::Annotate(tctx, "bytes", std::to_string(data.size()));
+  trace::Annotate(tctx, "bytes", data.size());
   {
     trace::ScopedSpan gate(tctx, "fuse.enter", "queue");
     co_await fuse_.Enter(ctx.node, ctx.process);
@@ -1006,8 +1006,8 @@ sim::Task MemFs::DoRead(VfsContext ctx, FileHandle handle,
                         sim::Promise<Result<Bytes>> done) {
   trace::ScopedSpan op_span = trace::ScopedSpan::Adopt(ctx.trace);
   const trace::TraceContext tctx = op_span.context();
-  trace::Annotate(tctx, "offset", std::to_string(offset));
-  trace::Annotate(tctx, "length", std::to_string(length));
+  trace::Annotate(tctx, "offset", offset);
+  trace::Annotate(tctx, "length", length);
   {
     trace::ScopedSpan gate(tctx, "fuse.enter", "queue");
     co_await fuse_.Enter(ctx.node, ctx.process);

@@ -209,7 +209,7 @@ sim::Task Runner::ExecuteTask(const TaskSpec& task, std::size_t index,
   trace::ScopedSpan task_span =
       trace::ScopedSpan::Adopt(trace::ChildOn(root, task.name, "task", node));
   trace::Annotate(task_span.context(), "stage", task.stage);
-  trace::Annotate(task_span.context(), "slot", std::to_string(slot));
+  trace::Annotate(task_span.context(), "slot", slot);
   const fs::VfsContext ctx{node, slot, task_span.context()};
   Completion completion;
   completion.task_index = index;

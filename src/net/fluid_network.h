@@ -21,12 +21,15 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "net/network.h"
 #include "sim/future.h"
+#include "sim/pool_alloc.h"
 #include "sim/simulation.h"
 
 namespace memfs::net {
@@ -184,7 +187,14 @@ class FluidNetwork : public Network {
   // iteration order, and an unordered_map with the same key sequence
   // reproduces it node-for-node. Consulted only when ≥2 flows finish in one
   // event (see FinishDueFlows); everything else walks the dense slot vector.
-  std::unordered_map<std::uint64_t, SlotId> completion_order_;
+  // Its nodes (one insert + erase per flow) recycle through the sim pool;
+  // node addresses never feed the iteration order, which depends only on the
+  // keys, their hashes and the insert/erase sequence.
+  std::unordered_map<
+      std::uint64_t, SlotId, std::hash<std::uint64_t>,
+      std::equal_to<std::uint64_t>,
+      sim::detail::PoolAllocator<std::pair<const std::uint64_t, SlotId>>>
+      completion_order_;
   SlotId free_head_ = kNoSlot;
   std::size_t active_count_ = 0;
   std::uint64_t total_bytes_ = 0;

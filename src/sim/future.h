@@ -29,17 +29,32 @@ struct FutureState {
 
   Simulation* sim;
   std::optional<T> value;
-  std::vector<std::coroutine_handle<>> waiters;
+  // Waiters in await order: almost every future has exactly one, kept
+  // inline so awaiting allocates nothing; later ones spill to the vector.
+  std::coroutine_handle<> first_waiter;
+  std::vector<std::coroutine_handle<>> more_waiters;
+
+  void AddWaiter(std::coroutine_handle<> handle) {
+    if (!first_waiter) {
+      first_waiter = handle;
+    } else {
+      more_waiters.push_back(handle);
+    }
+  }
 
   void Fulfill(T v) {
     assert(!value.has_value() && "promise fulfilled twice");
     value.emplace(std::move(v));
+    if (!first_waiter) return;
     SimChecker* checker = sim->checker();
-    for (auto handle : waiters) {
+    if (checker != nullptr) checker->OnResume(first_waiter);
+    sim->Resume(first_waiter);
+    first_waiter = {};
+    for (auto handle : more_waiters) {
       if (checker != nullptr) checker->OnResume(handle);
       sim->Resume(handle);
     }
-    waiters.clear();
+    more_waiters.clear();
   }
 };
 
@@ -68,7 +83,7 @@ class [[nodiscard]] Future {
       if (SimChecker* checker = state->sim->checker()) {
         checker->OnSuspend(h, WaitKind::kFuture, state, "Future");
       }
-      state->waiters.push_back(h);
+      state->AddWaiter(h);
     }
     T await_resume() const { return *state->value; }
   };
@@ -89,11 +104,10 @@ class Promise {
   // use (lets aggregates hold a Promise member).
   Promise() = default;
 
-  // allocate_shared puts control block + state in one pooled block, so a
-  // promise/future pair costs zero heap traffic once the pool is warm.
+  // Control block + state live in one pooled block, so a promise/future
+  // pair costs zero heap traffic once the pool is warm.
   explicit Promise(Simulation& sim)
-      : state_(std::allocate_shared<detail::FutureState<T>>(
-            detail::PoolAllocator<detail::FutureState<T>>{}, &sim)) {}
+      : state_(detail::MakePooled<detail::FutureState<T>>(&sim)) {}
 
   bool valid() const { return state_ != nullptr; }
 

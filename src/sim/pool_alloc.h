@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <memory>
 #include <new>
+#include <utility>
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
 #define MEMFS_POOL_ALLOC_BYPASS 1
@@ -96,7 +97,8 @@ inline void PoolFree(void* p) noexcept {
 #endif
 }
 
-// Minimal allocator over the pool for std::allocate_shared (Future state).
+// Minimal allocator over the pool for std::allocate_shared and node-based
+// containers: single-object allocations recycle, arrays go to the heap.
 template <typename T>
 struct PoolAllocator {
   using value_type = T;
@@ -121,5 +123,13 @@ struct PoolAllocator {
     return true;
   }
 };
+
+// make_shared through the pool: object and control block share one recycled
+// block, so per-operation shared state costs no heap traffic once warm.
+template <typename T, typename... Args>
+std::shared_ptr<T> MakePooled(Args&&... args) {
+  return std::allocate_shared<T>(PoolAllocator<T>{},
+                                 std::forward<Args>(args)...);
+}
 
 }  // namespace memfs::sim::detail

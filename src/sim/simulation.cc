@@ -23,12 +23,29 @@ std::uint64_t FnvMix(std::uint64_t hash, std::uint64_t value) {
 }  // namespace
 
 Simulation::~Simulation() {
-  // Destroy never-run callbacks (e.g. a RunUntil stopped mid-workload). The
-  // cells themselves die with cell_chunks_.
+  // Destroy never-run callbacks (e.g. a RunUntil stopped mid-workload) in
+  // both the heap and the ready ring. The cells themselves die with
+  // cell_chunks_.
   for (const HeapNode& node : heap_) {
     Cell& cell = CellAt(node.cell);
     cell.op(cell.storage, /*run=*/false);
   }
+  for (; !ReadyEmpty(); ++ready_head_) {
+    Cell& cell = CellAt(ReadyFront().cell);
+    cell.op(cell.storage, /*run=*/false);
+  }
+}
+
+void Simulation::ReadyGrow() {
+  // Unwrap the ring into a buffer twice the size, front at index 0.
+  const std::size_t count = ready_tail_ - ready_head_;
+  std::vector<HeapNode> grown(ready_.empty() ? 64 : ready_.size() * 2);
+  for (std::size_t i = 0; i < count; ++i) {
+    grown[i] = ready_[(ready_head_ + i) & (ready_.size() - 1)];
+  }
+  ready_ = std::move(grown);
+  ready_head_ = 0;
+  ready_tail_ = count;
 }
 
 void Simulation::HeapPush(HeapNode node) {
@@ -70,8 +87,15 @@ Simulation::HeapNode Simulation::HeapPop() {
 }
 
 bool Simulation::Step() {
-  if (heap_.empty()) return false;
-  const HeapNode node = HeapPop();
+  HeapNode node;
+  if (ReadyIsNext()) {
+    node = ReadyFront();
+    ++ready_head_;
+  } else if (!heap_.empty()) {
+    node = HeapPop();
+  } else {
+    return false;
+  }
   // Tell the clock observer time is about to advance, before the event at
   // the new instant runs: observed state is exactly "everything up to the
   // old time", which is what makes window samples exact. Observers never
@@ -100,7 +124,9 @@ SimTime Simulation::Run() {
 }
 
 SimTime Simulation::RunUntil(SimTime deadline) {
-  while (!heap_.empty() && heap_.front().time <= deadline) {
+  while (!empty()) {
+    const HeapNode& next = ReadyIsNext() ? ReadyFront() : heap_.front();
+    if (next.time > deadline) break;
     Step();
   }
   if (now_ < deadline) {

@@ -15,6 +15,13 @@
 // is unique per event, so heap order — and EventDigest() — is identical to
 // the historical std::priority_queue implementation.
 //
+// Most events (every zero-delay Resume) are scheduled for the current
+// instant. Those skip the heap and go to a FIFO ready ring of the same
+// nodes: every heap entry due now was scheduled at an earlier instant and so
+// carries a lower seq than any ready entry, and ready entries are appended
+// in seq order, so Step() popping the lesser of heap top and ready front
+// reproduces the exact (time, seq) order.
+//
 // Concurrency model: simulated processes are C++20 coroutines (sim::Task)
 // that suspend on awaitables (Delay, Future, Semaphore, ...) and are resumed
 // by the event loop. There is no real threading inside a Simulation; "thread
@@ -84,7 +91,12 @@ class Simulation {
           Fn*(new Fn(std::forward<F>(fn)));
       cell.op = &BoxedOp<Fn>;
     }
-    HeapPush(HeapNode{when, next_seq_++, cell_index});
+    const HeapNode node{when, next_seq_++, cell_index};
+    if (when == now_) {
+      ReadyPush(node);
+    } else {
+      HeapPush(node);
+    }
   }
 
   // Schedules resumption of a suspended coroutine through the event queue so
@@ -102,7 +114,7 @@ class Simulation {
   // Runs until the queue drains or simulated time would pass `deadline`.
   SimTime RunUntil(SimTime deadline);
 
-  bool empty() const { return heap_.empty(); }
+  bool empty() const { return heap_.empty() && ReadyEmpty(); }
   std::uint64_t events_processed() const { return events_processed_; }
 
   // Order-sensitive FNV-1a digest over the (time, sequence) pair of every
@@ -214,6 +226,27 @@ class Simulation {
   void HeapPush(HeapNode node);
   HeapNode HeapPop();
 
+  // Ready ring: a power-of-two circular buffer of nodes scheduled at now_,
+  // in seq order. It drains before the clock advances, so it only ever holds
+  // one instant's events.
+  bool ReadyEmpty() const { return ready_head_ == ready_tail_; }
+  const HeapNode& ReadyFront() const {
+    return ready_[ready_head_ & (ready_.size() - 1)];
+  }
+  void ReadyPush(HeapNode node) {
+    if (ready_tail_ - ready_head_ == ready_.size()) ReadyGrow();
+    ready_[ready_tail_++ & (ready_.size() - 1)] = node;
+  }
+  void ReadyGrow();
+
+  // True when the next event in (time, seq) order is the ring's front.
+  // Ready entries are all due now_; a heap entry due now_ precedes them only
+  // by its (lower) seq, so NodeBefore decides between the two fronts.
+  bool ReadyIsNext() const {
+    return !ReadyEmpty() &&
+           (heap_.empty() || NodeBefore(ReadyFront(), heap_.front()));
+  }
+
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t events_processed_ = 0;
@@ -221,6 +254,9 @@ class Simulation {
   SimChecker* checker_ = nullptr;
   ClockObserver* clock_observer_ = nullptr;
   std::vector<HeapNode> heap_;  // 4-ary min-heap on (time, seq)
+  std::vector<HeapNode> ready_;  // ready ring storage (power-of-two size)
+  std::size_t ready_head_ = 0;   // free-running; index with & (size - 1)
+  std::size_t ready_tail_ = 0;
   std::vector<std::unique_ptr<Cell[]>> cell_chunks_;
   std::vector<std::uint32_t> free_cells_;
   std::uint32_t cell_count_ = 0;

@@ -37,6 +37,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/strfmt.h"
 #include "sim/simulation.h"
 
 namespace memfs::trace {
@@ -170,9 +171,23 @@ inline void Event(const TraceContext& span, std::string_view name) {
   if (span.tracer != nullptr) span.tracer->AddEvent(span, name);
 }
 
+// The value is copied into a string only when the span is traced, so an
+// untraced op pays one pointer test and builds no string.
 inline void Annotate(const TraceContext& span, std::string_view key,
-                     std::string value) {
-  if (span.tracer != nullptr) span.tracer->Annotate(span, key, std::move(value));
+                     std::string_view value) {
+  if (span.tracer != nullptr) {
+    span.tracer->Annotate(span, key, std::string(value));
+  }
+}
+
+// Integer annotation (counts, sizes, ids): the decimal text — the same bytes
+// std::to_string would produce — is likewise formatted only when traced.
+inline void Annotate(const TraceContext& span, std::string_view key,
+                     std::uint64_t value) {
+  if (span.tracer == nullptr) return;
+  std::string text;
+  strfmt::AppendUint(text, value);
+  span.tracer->Annotate(span, key, std::move(text));
 }
 
 // RAII span for coroutine bodies: opens a child of `parent` on construction,

@@ -336,6 +336,38 @@ TEST(OpSchedulerTest, MixedKindsSplitIntoPerKindBatches) {
   EXPECT_EQ(cluster.server(1).stats().deletes, 1u);
 }
 
+TEST(OpSchedulerTest, LeftoverOpsKeepArrivalOrderAcrossRounds) {
+  // Each round moves its batch out of the lane queue and closes the gaps in
+  // place; the ops left behind must stay in arrival order, so the rounds
+  // (one in flight at a time) complete set{a,b}, delete{x,y}, set{c,d},
+  // delete{z}.
+  sim::Simulation sim;
+  net::FairShareNetwork network(sim, net::Das4Ipoib(2));
+  kv::KvCluster cluster(sim, network, {0, 1});
+  io::IoConfig config;
+  config.max_batch_ops = 2;
+  io::OpScheduler sched(sim, cluster, config);
+
+  std::vector<std::string> completed;
+  auto watch = [&completed](sim::Future<Status> f,
+                            std::string name) -> sim::Task {
+    (void)co_await f;
+    completed.push_back(name);
+  };
+  watch(sched.Set(0, 1, "a", Bytes::Copy("1")), "a");
+  watch(sched.Delete(0, 1, "x"), "x");
+  watch(sched.Set(0, 1, "b", Bytes::Copy("2")), "b");
+  watch(sched.Delete(0, 1, "y"), "y");
+  watch(sched.Set(0, 1, "c", Bytes::Copy("3")), "c");
+  watch(sched.Delete(0, 1, "z"), "z");
+  watch(sched.Set(0, 1, "d", Bytes::Copy("4")), "d");
+  sim.Run();
+  EXPECT_EQ(completed,
+            (std::vector<std::string>{"a", "b", "x", "y", "c", "d", "z"}));
+  EXPECT_EQ(sched.stats().batches, 4u);
+  EXPECT_EQ(sched.stats().max_batch, 2u);
+}
+
 TEST(OpSchedulerTest, BatchedRunsAreDeterministic) {
   auto run = [] {
     sim::Simulation sim;

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -133,6 +135,32 @@ TEST(FutureTest, MultipleWaitersAllResume) {
   sim.Schedule(10, [&] { promise.Set(5); });
   sim.Run();
   EXPECT_EQ(sum, 20);
+}
+
+TEST(FutureTest, WaitersResumeInAwaitOrder) {
+  // The first waiter is stored inline and later ones spill to a vector;
+  // either way, resumption follows await order.
+  for (int waiters : {1, 2, 5}) {
+    Simulation sim;
+    Promise<int> promise(sim);
+    auto future = promise.GetFuture();
+    std::vector<std::pair<int, SimTime>> resumed;
+    for (int i = 0; i < waiters; ++i) {
+      [](Simulation& s, Future<int> f, int id,
+         std::vector<std::pair<int, SimTime>>& log) -> Task {
+        EXPECT_EQ(co_await f, 5);
+        log.emplace_back(id, s.now());
+      }(sim, future, i, resumed);
+    }
+    EXPECT_TRUE(resumed.empty());
+    sim.Schedule(10, [&] { promise.Set(5); });
+    sim.Run();
+    ASSERT_EQ(resumed.size(), static_cast<std::size_t>(waiters));
+    for (int i = 0; i < waiters; ++i) {
+      EXPECT_EQ(resumed[i].first, i) << waiters << " waiters";
+      EXPECT_EQ(resumed[i].second, 10u);
+    }
+  }
 }
 
 TEST(FutureTest, ValuePeekAfterRun) {
@@ -401,6 +429,124 @@ TEST(EventHeapTest, UnrunEventsAreDestroyedWithTheSimulation) {
     shared.reset();
     EXPECT_FALSE(watch.expired());
   }  // ~Simulation drains the heap without running the callbacks
+  EXPECT_TRUE(watch.expired());
+}
+
+// --- Same-instant ready queue ---
+//
+// Events scheduled for the current instant bypass the heap into a FIFO
+// ring. These tests pin the (time, seq) order across the two structures.
+
+TEST(ReadyQueueTest, TimedEventPrecedesZeroDelayEventsOfItsInstant) {
+  // A and B are scheduled at t=10 from t=0 (heap). A runs first and queues
+  // two zero-delay events at t=10 (ready ring); B's lower seq still puts it
+  // ahead of them, and B's own zero-delay follow-up runs after them.
+  Simulation sim;
+  std::vector<std::string> order;
+  sim.ScheduleAt(10, [&] {
+    order.push_back("A");
+    sim.Schedule(0, [&] { order.push_back("A0"); });
+    sim.Schedule(0, [&] { order.push_back("A1"); });
+  });
+  sim.ScheduleAt(10, [&] {
+    order.push_back("B");
+    sim.Schedule(0, [&] { order.push_back("B0"); });
+  });
+  sim.Run();
+  EXPECT_EQ(order,
+            (std::vector<std::string>{"A", "B", "A0", "A1", "B0"}));
+  EXPECT_EQ(sim.now(), 10u);
+}
+
+TEST(ReadyQueueTest, DigestMatchesReferenceAcrossHeapAndReadyRing) {
+  // Every event starts a short zero-delay chain at its instant and some
+  // links also schedule timed events, so heap and ring entries interleave
+  // at every instant; the run must follow (time, seq) order exactly and the
+  // digest must fold that order.
+  Simulation sim;
+  std::vector<std::pair<SimTime, std::uint64_t>> ran;
+  std::uint64_t next_seq = 0;  // mirrors the simulation's internal seq
+  std::function<void(std::uint64_t, int)> spawn = [&](std::uint64_t seq,
+                                                      int depth) {
+    ran.emplace_back(sim.now(), seq);
+    if (depth < 3) {
+      const std::uint64_t link = next_seq++;
+      sim.Schedule(0, [&spawn, link, depth] { spawn(link, depth + 1); });
+    }
+    if (sim.now() < 8 && depth % 2 == 0) {
+      const std::uint64_t timed = next_seq++;
+      sim.Schedule(1 + depth / 2, [&spawn, timed] { spawn(timed, 0); });
+    }
+  };
+  const std::uint64_t first = next_seq++;
+  sim.Schedule(0, [&spawn, first] { spawn(first, 0); });
+  sim.RunUntil(8);
+  ASSERT_GT(ran.size(), 100u);
+  std::vector<std::pair<SimTime, std::uint64_t>> sorted = ran;
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(ran, sorted);
+  EXPECT_EQ(sim.EventDigest(), ReferenceDigest(ran));
+}
+
+TEST(ReadyQueueTest, RunUntilDrainsTheInstantAndStopsBeforeLaterEvents) {
+  Simulation sim;
+  std::vector<int> order;
+  sim.Schedule(0, [&] { order.push_back(0); });
+  sim.RunUntil(0);  // ready entries obey the same time <= deadline rule
+  EXPECT_EQ(order, (std::vector<int>{0}));
+  sim.ScheduleAt(10, [&] {
+    order.push_back(1);
+    sim.Schedule(0, [&] {
+      order.push_back(2);
+      sim.Schedule(0, [&] { order.push_back(3); });
+    });
+  });
+  sim.ScheduleAt(11, [&] { order.push_back(4); });
+  sim.RunUntil(10);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(sim.now(), 10u);
+  EXPECT_FALSE(sim.empty());  // the t=11 event is still queued
+  sim.Run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+  EXPECT_TRUE(sim.empty());
+}
+
+TEST(ReadyQueueTest, RingKeepsFifoOrderAcrossGrowth) {
+  // Every event queues two more at the same instant, so the ring wraps and
+  // grows (from 64 slots) while partly consumed; execution order must still
+  // equal scheduling order.
+  Simulation sim;
+  std::vector<int> order;
+  int scheduled = 0;
+  std::function<void(int)> fan = [&](int id) {
+    order.push_back(id);
+    for (int k = 0; k < 2 && scheduled < 1000; ++k) {
+      const int child = scheduled++;
+      sim.Schedule(0, [&fan, child] { fan(child); });
+    }
+  };
+  const int root = scheduled++;
+  sim.Schedule(0, [&fan, root] { fan(root); });
+  sim.Run();
+  ASSERT_EQ(order.size(), 1000u);
+  for (int i = 0; i < 1000; ++i) ASSERT_EQ(order[i], i);
+  EXPECT_EQ(sim.now(), 0u);
+}
+
+TEST(ReadyQueueTest, UnrunSameInstantCallablesAreDestroyedWithTheSimulation) {
+  auto shared = std::make_shared<int>(1);
+  std::weak_ptr<int> watch = shared;
+  struct Big {
+    char payload[128];
+  };
+  {
+    Simulation sim;
+    sim.Schedule(0, [shared] { (void)shared; });              // inline cell
+    sim.Schedule(0, [shared, big = Big{}] { (void)big; });    // boxed
+    sim.Schedule(5, [shared] { (void)shared; });              // heap
+    shared.reset();
+    EXPECT_FALSE(watch.expired());
+  }  // ~Simulation destroys both structures' callables without running them
   EXPECT_TRUE(watch.expired());
 }
 

@@ -2,7 +2,9 @@
 // bounds, null no-op), ScopedSpan lifetime, Chrome export, critical-path
 // extraction, and end-to-end span trees recorded through the MemFS stack.
 #include <algorithm>
+#include <cstdint>
 #include <sstream>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -97,6 +99,25 @@ TEST(TracerTest, NullContextIsInertEverywhere) {
   Annotate(null_ctx, "k", "v");
   ScopedSpan span(null_ctx, "x", "y");
   EXPECT_FALSE(span.context().active());
+}
+
+TEST(TracerTest, IntegerAnnotationsMatchToStringSpelling) {
+  sim::Simulation sim;
+  Tracer tracer(sim);
+  const TraceContext root = tracer.StartTrace("root", "vfs");
+  Annotate(root, "zero", std::uint64_t{0});
+  Annotate(root, "count", std::uint32_t{42});
+  Annotate(root, "max", std::uint64_t{18446744073709551615ull});
+  Annotate(root, "text", "v");
+  End(root);
+  ASSERT_EQ(tracer.finished().size(), 1u);
+  const auto& args = tracer.finished()[0].args;
+  ASSERT_EQ(args.size(), 4u);
+  EXPECT_EQ(args[0].second, std::to_string(0));
+  EXPECT_EQ(args[1].second, std::to_string(42));
+  EXPECT_EQ(args[2].second, std::to_string(18446744073709551615ull));
+  EXPECT_EQ(args[3].second, "v");
+  Annotate(TraceContext{}, "n", std::uint64_t{7});  // untraced: a no-op
 }
 
 TEST(TracerTest, FinishedRingDropsOldest) {

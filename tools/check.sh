@@ -33,11 +33,14 @@ echo "== static analysis: memfs_analyze =="
 "$root/build/tools/memfs_analyze" --stats \
   "$root/src" "$root/tools" "$root/bench" "$root/tests"
 
-# Simulator speed gate: re-run the fig08 64-node point and compare
-# sim-events/sec against the committed BENCH_scale.json trajectory; fails on
-# a >20% regression. On hardware slower than the baseline's, widen the gate
-# with MEMFS_PERF_GATE_TOLERANCE (e.g. 0.5) instead of skipping it.
-echo "== perf gate: fig08 64-node sim-events/sec vs BENCH_scale.json =="
+# Simulator speed gate: re-run the fig08 64-node point and compare it against
+# the committed BENCH_scale.json trajectory. Fails on a >20% sim-events/sec
+# regression, or when heap allocations per simulated event exceed the
+# baseline's by more than 5% (allocation counts repeat exactly, so that gate
+# holds on any hardware). On hardware slower than the baseline's, widen the
+# speed gate with MEMFS_PERF_GATE_TOLERANCE (e.g. 0.5) instead of skipping
+# it.
+echo "== perf gate: fig08 64-node sim-events/sec + allocs/event vs BENCH_scale.json =="
 "$root/build/bench/micro_latency_profile" --scale \
   --baseline="$root/BENCH_scale.json" > /dev/null
 
@@ -49,13 +52,14 @@ cmake --build "$root/build-asan" -j "$jobs"
 echo "== sanitizers: determinism gates =="
 ctest --test-dir "$root/build-asan" -L determinism --output-on-failure
 
-# The event-cell slab and the frame pool run under ASan/UBSan here (the
-# pool's free lists bypass to plain new/delete under sanitizers so every
-# frame keeps its true lifetime — the slab does not bypass and is fully
-# checked).
-echo "== sanitizers: event heap + frame pool tests =="
+# The event-cell slab, the same-instant ready ring, future waiter storage and
+# the frame pool run under ASan/UBSan here (the pool's free lists bypass to
+# plain new/delete under sanitizers so every frame keeps its true lifetime —
+# the slab and the ring do not bypass and are fully checked).
+echo "== sanitizers: event queue + futures + frame pool tests =="
 ctest --test-dir "$root/build-asan" \
-  -R 'EventHeap|PoolAlloc|SimChecker' --output-on-failure
+  -R 'EventHeap|ReadyQueue|FutureTest|PoolAlloc|SimChecker' \
+  --output-on-failure
 
 # TSan and ASan cannot live in one binary, so thread gets its own tree.
 # Probe first: some toolchains ship without libtsan.
@@ -69,9 +73,10 @@ if printf 'int main(){return 0;}' | \
   echo "== sanitizers: determinism gates under TSan =="
   ctest --test-dir "$root/build-tsan" -L determinism --output-on-failure
 
-  echo "== sanitizers: event heap + frame pool tests under TSan =="
+  echo "== sanitizers: event queue + futures + frame pool tests under TSan =="
   ctest --test-dir "$root/build-tsan" \
-    -R 'EventHeap|PoolAlloc|SimChecker' --output-on-failure
+    -R 'EventHeap|ReadyQueue|FutureTest|PoolAlloc|SimChecker' \
+    --output-on-failure
 else
   echo "== sanitizers: thread skipped (toolchain has no libtsan) =="
 fi
