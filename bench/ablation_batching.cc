@@ -7,16 +7,20 @@
 // (write, 1-1 read, create, open) at saturation — 8 kernel-bypass (RDMA)
 // nodes, 64 library-mode client procs per node (libmemfs linked directly,
 // no FUSE interposition, so the client stack is not the bottleneck being
-// measured) — with the src/io op scheduler on and off, and reports the RPC
-// counts the cluster actually saw, the achieved coalescing (ops per RPC),
-// and the phase makespans. A second sweep varies the per-batch item ceiling
-// to show where the amortization saturates.
+// measured) — with coalescing on and off, and reports the RPC counts the
+// cluster actually saw, the achieved coalescing (ops per RPC), and the phase
+// makespans. A second sweep varies the per-batch item ceiling to show where
+// the amortization saturates.
 //
 // Coalescing here is pure backpressure: the drain loop holds at most
 // `window` batches in flight per (client, server) lane, so whatever queues
-// up behind a saturated server rides the next batch. `batching = off`
-// forwards one RPC per op, byte-identical to the pre-scheduler data path.
+// up behind a saturated server rides the next batch. Every op rides a batch
+// RPC, so "off" is one item per batch (max_batch_ops = 1) with a window too
+// wide to ever block: one RPC per op, issued as soon as the op is, with no
+// lane backpressure.
+#include <cstdint>
 #include <iostream>
+#include <limits>
 
 #include "bench_common.h"
 #include "kvstore/kv_cluster.h"
@@ -31,7 +35,7 @@ struct BatchingCell {
   double read_s = 0;
   double create_s = 0;
   double open_s = 0;
-  std::uint64_t rpcs = 0;  // single-op attempts + batch attempts on the wire
+  std::uint64_t rpcs = 0;  // batch attempts on the wire
   std::uint64_t ops = 0;   // kv operations those RPCs carried
   std::uint64_t max_batch = 0;
 
@@ -66,8 +70,8 @@ BatchingCell RunCell(const io::IoConfig& io_config) {
   const kv::KvCluster& storage = *bed.storage();
   for (std::uint32_t s = 0; s < storage.server_count(); ++s) {
     const kv::KvServerClientStats& stats = storage.server_stats(s);
-    cell.rpcs += stats.single_ops + stats.batches;
-    cell.ops += stats.single_ops + stats.batched_items;
+    cell.rpcs += stats.batches;
+    cell.ops += stats.batched_items;
   }
   cell.max_batch = bed.memfs()->scheduler().stats().max_batch;
   return cell;
@@ -84,7 +88,8 @@ int main(int argc, char** argv) {
   Table onoff({"batching", "kv RPCs", "ops/RPC", "max batch", "write (s)",
                "read (s)", "create (s)", "open (s)", "total (s)"});
   io::IoConfig off;
-  off.batching = false;
+  off.max_batch_ops = 1;
+  off.window = std::numeric_limits<std::uint32_t>::max();
   const BatchingCell base = RunCell(off);
   const BatchingCell batched = RunCell(io::IoConfig{});
   for (const auto& [name, cell] :

@@ -26,6 +26,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -344,8 +345,10 @@ int main(int argc, char** argv) {
     config.nodes = 16;
     // This profile measures per-RPC service latency; with coalescing on, lane
     // queueing during read/write bursts would dominate every kv.* histogram
-    // (that effect is ablation_batching's subject, not this one's).
-    config.memfs.io.batching = false;
+    // (that effect is ablation_batching's subject, not this one's). So every
+    // op rides its own one-item batch, through a window that never blocks.
+    config.memfs.io.max_batch_ops = 1;
+    config.memfs.io.window = std::numeric_limits<std::uint32_t>::max();
     config.metrics = &registry;
     workloads::Testbed bed(workloads::FsKind::kMemFs, config);
 

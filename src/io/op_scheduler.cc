@@ -36,19 +36,10 @@ OpScheduler::Lane& OpScheduler::LaneFor(net::NodeId client,
   return *slot;
 }
 
-sim::Future<Status> OpScheduler::EnqueueMutation(net::NodeId client,
-                                                 std::uint32_t server,
-                                                 kv::BatchKind kind,
-                                                 std::string key, Bytes value,
-                                                 trace::TraceContext trace) {
+void OpScheduler::Enqueue(net::NodeId client, std::uint32_t server,
+                          PendingOp op, trace::TraceContext trace) {
   Lane& lane = LaneFor(client, server);
-  PendingOp op;
-  op.kind = kind;
-  op.key = std::move(key);
-  op.value = std::move(value);
-  op.status_done = sim::Promise<Status>(sim_);
   op.wait_span = trace::Child(trace, "kv.batch.wait", "kv");
-  auto future = op.status_done.GetFuture();
   lane.queue.push_back(std::move(op));
   GaugeAdd(lane.queued_gauge, 1);
   ++stats_.batched_ops;
@@ -56,17 +47,26 @@ sim::Future<Status> OpScheduler::EnqueueMutation(net::NodeId client,
     lane.draining = true;
     RunDrain(&lane);
   }
+}
+
+sim::Future<Status> OpScheduler::EnqueueMutation(net::NodeId client,
+                                                 std::uint32_t server,
+                                                 kv::BatchKind kind,
+                                                 std::string key, Bytes value,
+                                                 trace::TraceContext trace) {
+  PendingOp op;
+  op.kind = kind;
+  op.key = std::move(key);
+  op.value = std::move(value);
+  op.status_done = sim::Promise<Status>(sim_);
+  auto future = op.status_done.GetFuture();
+  Enqueue(client, server, std::move(op), trace);
   return future;
 }
 
 sim::Future<Status> OpScheduler::Set(net::NodeId client, std::uint32_t server,
                                      std::string key, Bytes value,
                                      trace::TraceContext trace) {
-  if (!config_.batching) {
-    ++stats_.passthrough_ops;
-    return cluster_.Set(client, server, std::move(key), std::move(value),
-                        trace);
-  }
   return EnqueueMutation(client, server, kv::BatchKind::kSet, std::move(key),
                          std::move(value), trace);
 }
@@ -74,11 +74,6 @@ sim::Future<Status> OpScheduler::Set(net::NodeId client, std::uint32_t server,
 sim::Future<Status> OpScheduler::Add(net::NodeId client, std::uint32_t server,
                                      std::string key, Bytes value,
                                      trace::TraceContext trace) {
-  if (!config_.batching) {
-    ++stats_.passthrough_ops;
-    return cluster_.Add(client, server, std::move(key), std::move(value),
-                        trace);
-  }
   return EnqueueMutation(client, server, kv::BatchKind::kAdd, std::move(key),
                          std::move(value), trace);
 }
@@ -87,11 +82,6 @@ sim::Future<Status> OpScheduler::Append(net::NodeId client,
                                         std::uint32_t server, std::string key,
                                         Bytes suffix,
                                         trace::TraceContext trace) {
-  if (!config_.batching) {
-    ++stats_.passthrough_ops;
-    return cluster_.Append(client, server, std::move(key), std::move(suffix),
-                           trace);
-  }
   return EnqueueMutation(client, server, kv::BatchKind::kAppend,
                          std::move(key), std::move(suffix), trace);
 }
@@ -99,10 +89,6 @@ sim::Future<Status> OpScheduler::Append(net::NodeId client,
 sim::Future<Status> OpScheduler::Delete(net::NodeId client,
                                         std::uint32_t server, std::string key,
                                         trace::TraceContext trace) {
-  if (!config_.batching) {
-    ++stats_.passthrough_ops;
-    return cluster_.Delete(client, server, std::move(key), trace);
-  }
   return EnqueueMutation(client, server, kv::BatchKind::kDelete,
                          std::move(key), Bytes(), trace);
 }
@@ -111,24 +97,12 @@ sim::Future<Result<Bytes>> OpScheduler::Get(net::NodeId client,
                                             std::uint32_t server,
                                             std::string key,
                                             trace::TraceContext trace) {
-  if (!config_.batching) {
-    ++stats_.passthrough_ops;
-    return cluster_.Get(client, server, std::move(key), trace);
-  }
-  Lane& lane = LaneFor(client, server);
   PendingOp op;
   op.kind = kv::BatchKind::kGet;
   op.key = std::move(key);
   op.value_done = sim::Promise<Result<Bytes>>(sim_);
-  op.wait_span = trace::Child(trace, "kv.batch.wait", "kv");
   auto future = op.value_done.GetFuture();
-  lane.queue.push_back(std::move(op));
-  GaugeAdd(lane.queued_gauge, 1);
-  ++stats_.batched_ops;
-  if (!lane.draining) {
-    lane.draining = true;
-    RunDrain(&lane);
-  }
+  Enqueue(client, server, std::move(op), trace);
   return future;
 }
 

@@ -15,7 +15,7 @@
 //  * Per-item verdicts. A batch returns one Status per key; the scheduler
 //    demultiplexes them back to the per-op futures, and the KvCluster retry
 //    layer re-sends only failed keys — the non-idempotent ADD/APPEND safety
-//    argument of the single-op path holds per item (see kv_cluster.h).
+//    argument holds per item (see kv_cluster.h).
 //  * Coalescing window. The drain coroutine yields once per round, so every
 //    operation enqueued at the same simulated instant can join the batch,
 //    and it claims a window slot before choosing the batch, so everything
@@ -23,9 +23,10 @@
 //    another kind stay queued for the next round. Cross-kind reordering
 //    within a lane is safe here because no issuer keeps two operations of
 //    different kinds in flight for the same key.
-//  * batching = off is a true bypass: calls forward directly to KvCluster
-//    with zero extra events or allocations, so the event digest is
-//    byte-identical to the pre-scheduler data path.
+//  * One wire path. KvCluster::Batch is the only way onto the wire, so every
+//    op goes through a lane, even when it ends up alone in its batch (a
+//    batch of one). One RPC per op is max_batch_ops = 1; a window no smaller
+//    than the lane's queue depth keeps it from adding lane backpressure.
 //
 // Tracing: each enqueued op opens a "kv.batch.wait" span under its own
 // request trace covering enqueue -> verdict; the batch RPC's "kv.batch"
@@ -53,9 +54,6 @@
 namespace memfs::io {
 
 struct IoConfig {
-  // Coalesce queued ops into batch RPCs (off = forward one RPC per op,
-  // byte-identical to the pre-scheduler behavior).
-  bool batching = true;
   // Per-batch ceilings: at most this many items and (beyond the first item)
   // this many payload bytes per batch RPC. Multi-get commonly carries tens
   // of keys per message.
@@ -70,10 +68,9 @@ struct IoConfig {
 };
 
 struct IoStats {
-  std::uint64_t batches = 0;          // batch RPCs issued
-  std::uint64_t batched_ops = 0;      // ops that went through a batch
-  std::uint64_t passthrough_ops = 0;  // ops forwarded directly (batching off)
-  std::uint64_t max_batch = 0;        // largest batch issued
+  std::uint64_t batches = 0;      // batch RPCs issued
+  std::uint64_t batched_ops = 0;  // ops that went through a batch
+  std::uint64_t max_batch = 0;    // largest batch issued
 };
 
 class OpScheduler {
@@ -84,7 +81,8 @@ class OpScheduler {
   OpScheduler(const OpScheduler&) = delete;
   OpScheduler& operator=(const OpScheduler&) = delete;
 
-  // Mirrors the KvCluster surface; callers switch over without changes.
+  // Single-key operations; each one joins a batch on its (client, server)
+  // lane and resolves with its own item's verdict.
   [[nodiscard]] sim::Future<Status> Set(net::NodeId client,
                                         std::uint32_t server, std::string key,
                                         Bytes value,
@@ -142,6 +140,10 @@ class OpScheduler {
   };
 
   Lane& LaneFor(net::NodeId client, std::uint32_t server);
+  // Opens the op's wait span, queues it on its lane and starts the lane's
+  // drain loop if it is idle.
+  void Enqueue(net::NodeId client, std::uint32_t server, PendingOp op,
+               trace::TraceContext trace);
   sim::Future<Status> EnqueueMutation(net::NodeId client,
                                       std::uint32_t server,
                                       kv::BatchKind kind, std::string key,

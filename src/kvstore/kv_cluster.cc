@@ -2,59 +2,13 @@
 
 #include <algorithm>
 #include <memory>
-#include <type_traits>
 #include <utility>
 
 #include "sim/pool_alloc.h"
 
 namespace memfs::kv {
 
-// Outcome slot for a single attempt. The attempt coroutine and the deadline
-// watchdog race to settle it; whoever loses finds `settled` and stands down.
-// `applied` marks the server's commit point: once set, the watchdog lets the
-// acknowledgement finish instead of reporting DEADLINE_EXCEEDED, so a retried
-// ADD/APPEND can never have been applied by an earlier attempt.
-template <typename T>
-struct RaceState {
-  explicit RaceState(sim::Simulation& sim) : promise(sim) {}
-
-  sim::Promise<T> promise;
-  bool settled = false;
-  bool applied = false;
-
-  void Settle(T value) {
-    if (settled) return;
-    settled = true;
-    promise.Set(std::move(value));
-  }
-};
-
-// A single-key operation as its attempts see it. RunWithRetry and every
-// attempt share one pooled block. A mutation's payload is consumed by its one
-// commit (ApplyBatchItem moves it into the server); every retryable failure
-// happens before the commit point, so no later attempt sees it moved-from.
-struct SingleOp {
-  BatchKind kind;
-  BatchItem item;              // key, plus the payload for mutations
-  std::uint64_t request_bytes;
-  sim::SimTime service;        // mutations; a GET is priced on its value
-};
-
 namespace {
-
-template <typename T>
-T ErrorResult(Status status);
-template <>
-Status ErrorResult<Status>(Status status) {
-  return status;
-}
-template <>
-Result<Bytes> ErrorResult<Result<Bytes>>(Status status) {
-  return Result<Bytes>(std::move(status));
-}
-
-Status StatusOf(const Status& status) { return status; }
-Status StatusOf(const Result<Bytes>& result) { return result.status(); }
 
 // Mirrors the server's storage footprint into its monitor gauges after an
 // apply (one branch per gauge without a registry).
@@ -94,8 +48,8 @@ Exemplar KvTagOf(const trace::TraceContext& op_span, net::NodeId client,
   return tag;
 }
 
-// Same, but records one observation per batch item so the per-op
-// kv.set/kv.get/... histograms stay balanced whichever path an op rides.
+// Records the client-observed latency once per batch item, so the per-op
+// kv.set/kv.get/... histograms count operations rather than RPCs.
 template <typename T>
 sim::Task RecordKvItemLatencies(sim::Future<T> future, sim::Simulation* sim,
                                 LatencyHistogram* histogram, std::size_t items,
@@ -106,146 +60,15 @@ sim::Task RecordKvItemLatencies(sim::Future<T> future, sim::Simulation* sim,
   }
 }
 
-template <typename T>
-sim::Task RunDeadline(sim::Simulation& sim, std::shared_ptr<RaceState<T>> race,
-                      sim::SimTime deadline) {
-  co_await sim.Delay(deadline);
-  if (race->applied) co_return;  // committed: wait for the acknowledgement
-  race->Settle(ErrorResult<T>(status::DeadlineExceeded("op deadline")));
-}
-
-// One mutation attempt: ship key+value to the server, process under a worker
-// slot, return a small acknowledgement. `ctx` is this attempt's span (owned
-// here: the frame ends it on every exit path).
-sim::Task RunMutationAttempt(sim::Simulation& sim, net::Network& network,
-                             KvCluster::ServerSlotAccess slot,
-                             net::NodeId client, std::shared_ptr<SingleOp> op,
-                             std::shared_ptr<RaceState<Status>> race,
-                             std::uint64_t ack_bytes,
-                             sim::SimTime failure_timeout,
-                             trace::TraceContext ctx) {
-  trace::ScopedSpan attempt = trace::ScopedSpan::Adopt(ctx);
-  if (network.DropMessage(client, slot.node)) {
-    // The request evaporated; with no reply coming, the client can only wait
-    // out its timeout (the deadline watchdog usually fires first).
-    trace::Event(ctx, "request_lost");
-    co_await sim.Delay(failure_timeout);
-    race->Settle(status::DeadlineExceeded("request lost"));
-    co_return;
-  }
-  {
-    trace::ScopedSpan leg(ctx, "net.request", "net");
-    co_await network.Transfer(client, slot.node, op->request_bytes);
-  }
-  if (*slot.down) {
-    trace::Event(ctx, "server_down");
-    co_await sim.Delay(failure_timeout);
-    race->Settle(status::Unavailable("server down"));
-    co_return;
-  }
-  GaugeAdd(slot.queue_gauge, 1);
-  {
-    trace::ScopedSpan queued = trace::ScopedSpan::Adopt(
-        trace::ChildOn(ctx, "kv.queue", "queue", slot.node));
-    co_await slot.workers->Acquire();
-  }
-  GaugeAdd(slot.queue_gauge, -1);
-  GaugeAdd(slot.inflight_gauge, 1);
-  {
-    trace::ScopedSpan service = trace::ScopedSpan::Adopt(
-        trace::ChildOn(ctx, "kv.service", "kv.service", slot.node));
-    co_await sim.Delay(static_cast<sim::SimTime>(
-        static_cast<double>(op->service) * *slot.slow_factor));
-  }
-  if (race->settled) {
-    // The client gave up on this attempt; cancellation reaches the server
-    // before commit, so the request is discarded — a later retry stays
-    // exactly-once for non-idempotent ADD/APPEND.
-    trace::Event(ctx, "cancelled_before_commit");
-    slot.workers->Release();
-    GaugeAdd(slot.inflight_gauge, -1);
-    co_return;
-  }
-  race->applied = true;
-  trace::Event(ctx, "commit");
-  Status status = slot.state->ApplyBatchItem(op->kind, op->item).status;
-  SyncStorageGauges(slot);
-  slot.workers->Release();
-  GaugeAdd(slot.inflight_gauge, -1);
-  {
-    trace::ScopedSpan leg(ctx, "net.ack", "net");
-    co_await network.Transfer(slot.node, client, ack_bytes);
-  }
-  race->Settle(std::move(status));
-}
-
-// One GET attempt; GETs have no commit point, so the deadline may preempt
-// any phase and the value-sized reply leg is skipped once abandoned.
-sim::Task RunGetAttempt(sim::Simulation& sim, net::Network& network,
-                        KvCluster::ServerSlotAccess slot, net::NodeId client,
-                        const KvOpCostModel& cost, std::shared_ptr<SingleOp> op,
-                        std::shared_ptr<RaceState<Result<Bytes>>> race,
-                        trace::TraceContext ctx) {
-  trace::ScopedSpan attempt = trace::ScopedSpan::Adopt(ctx);
-  if (network.DropMessage(client, slot.node)) {
-    trace::Event(ctx, "request_lost");
-    co_await sim.Delay(cost.failure_timeout);
-    race->Settle(Result<Bytes>(status::DeadlineExceeded("request lost")));
-    co_return;
-  }
-  {
-    trace::ScopedSpan leg(ctx, "net.request", "net");
-    co_await network.Transfer(client, slot.node, op->request_bytes);
-  }
-  if (*slot.down) {
-    trace::Event(ctx, "server_down");
-    co_await sim.Delay(cost.failure_timeout);
-    race->Settle(Result<Bytes>(status::Unavailable("server down")));
-    co_return;
-  }
-  GaugeAdd(slot.queue_gauge, 1);
-  {
-    trace::ScopedSpan queued = trace::ScopedSpan::Adopt(
-        trace::ChildOn(ctx, "kv.queue", "queue", slot.node));
-    co_await slot.workers->Acquire();
-  }
-  GaugeAdd(slot.queue_gauge, -1);
-  GaugeAdd(slot.inflight_gauge, 1);
-  Result<Bytes> result = slot.state->Get(op->item.key);
-  const std::uint64_t value_bytes =
-      result.ok() ? result.value().StoredSize() : 0;
-  const auto service =
-      cost.get_base + static_cast<sim::SimTime>(cost.get_ns_per_byte *
-                                                static_cast<double>(
-                                                    value_bytes));
-  {
-    trace::ScopedSpan span = trace::ScopedSpan::Adopt(
-        trace::ChildOn(ctx, "kv.service", "kv.service", slot.node));
-    co_await sim.Delay(static_cast<sim::SimTime>(
-        static_cast<double>(service) * *slot.slow_factor));
-  }
-  slot.workers->Release();
-  GaugeAdd(slot.inflight_gauge, -1);
-  if (race->settled) {
-    trace::Event(ctx, "abandoned");  // no one is listening
-    co_return;
-  }
-  {
-    trace::ScopedSpan leg(ctx, "net.reply", "net");
-    co_await network.Transfer(slot.node, client,
-                              cost.header_bytes + value_bytes);
-  }
-  race->Settle(std::move(result));
-}
-
 }  // namespace
 
-// Outcome slot for one batch attempt. Mirrors RaceState, generalized to
-// per-item granularity: each entry names one still-unresolved item of the
-// master list; `resolved` marks that its verdict streamed back to the client
-// (for mutations this is also the commit point — resolved <=> applied),
-// `finished` marks the full acknowledgement, and `attempt_error` is the
-// verdict every unresolved item inherits when the attempt is cut off.
+// Outcome slot for one batch attempt, shared by the attempt coroutine and its
+// deadline watchdog: whoever settles it first wins, the other stands down.
+// Each entry names one still-unresolved item of the master list; `resolved`
+// marks that its verdict streamed back to the client at its apply point (for
+// mutations this is the commit point — resolved <=> applied), `finished`
+// marks the full acknowledgement, and `attempt_error` is the verdict every
+// unresolved item inherits when the attempt is cut off.
 struct BatchAttempt {
   struct Entry {
     std::size_t index = 0;  // position in the batch's master item list
@@ -303,8 +126,8 @@ sim::Task RunBatchDeadline(sim::Simulation& sim,
                            sim::SimTime deadline) {
   co_await sim.Delay(deadline);
   if (attempt->settled || attempt->finished) co_return;
-  // Every item committed: only the acknowledgement is outstanding, so let it
-  // finish (same rule as the single-op watchdog after the commit point).
+  // Every item resolved at its apply point: only the reply is outstanding,
+  // so let it finish — even a large GET reply that outlasts the deadline.
   if (std::all_of(attempt->entries.begin(), attempt->entries.end(),
                   [](const BatchAttempt::Entry& e) { return e.resolved; })) {
     co_return;
@@ -369,8 +192,7 @@ sim::Task RunBatchAttempt(sim::Simulation& sim, net::Network& network,
     sim::SimTime service;
     if (kind == BatchKind::kGet) {
       // Reads are applied up front so the value size can price the service
-      // time — same order as the single-op GET path; harmless on
-      // cancellation because reads have no commit point.
+      // time; harmless on cancellation because reads have no commit point.
       result = state->ApplyBatchItem(kind, item);
       applied = true;
       service = BatchItemService(cost, kind, result.value.StoredSize());
@@ -378,8 +200,8 @@ sim::Task RunBatchAttempt(sim::Simulation& sim, net::Network& network,
       service = BatchItemService(cost, kind, item.value.StoredSize());
     }
     // Items after the first ride the message's already-paid dispatch
-    // (syscall + wakeup + parse), which the per-op bases include; a batch of
-    // one therefore costs exactly what the single-op path charges.
+    // (syscall + wakeup + parse), which the per-op bases include; the first
+    // item pays its full base.
     if (j > 0) service -= std::min(service, cost.rpc_dispatch);
     {
       trace::ScopedSpan item_span = trace::ScopedSpan::Adopt(
@@ -450,89 +272,6 @@ std::uint32_t KvCluster::AddServer(net::NodeId node) {
   }
   servers_.push_back(std::move(slot));
   return index;
-}
-
-template <typename T>
-sim::Task KvCluster::RunWithRetry(std::uint32_t server, net::NodeId client,
-                                  std::shared_ptr<SingleOp> request,
-                                  sim::Promise<T> done,
-                                  trace::TraceContext op_span) {
-  trace::ScopedSpan op = trace::ScopedSpan::Adopt(op_span);
-  auto& slot = servers_[server];
-  RetryState retry(policy_.retry, sim_.now());
-  T result = ErrorResult<T>(status::Unavailable("no attempt made"));
-  std::uint32_t attempts = 0;
-  while (true) {
-    if (slot.left) {
-      // The server drained out of the cluster for good: answer immediately
-      // with a non-retryable verdict so callers fail over (or surface the
-      // loss) instead of burning the failure timeout per attempt.
-      trace::Event(op_span, "server_left");
-      result = ErrorResult<T>(status::UnavailablePermanent("server left"));
-      break;
-    }
-    const bool allowed = slot.breaker.AllowRequest(sim_.now());
-    GaugeSet(slot.breaker_gauge,
-             static_cast<std::int64_t>(slot.breaker.state()));
-    if (!allowed) {
-      ++stats_.breaker_fast_fails;
-      ++slot.client_stats.breaker_fast_fails;
-      if (metrics_ != nullptr) ++metrics_->Counter("kv.breaker_fast_fails");
-      trace::Event(op_span, "breaker_fast_fail");
-      result = ErrorResult<T>(status::Unavailable("circuit breaker open"));
-    } else {
-      auto race = sim::detail::MakePooled<RaceState<T>>(sim_);
-      auto attempt = race->promise.GetFuture();
-      trace::TraceContext attempt_span =
-          trace::Child(op_span, "kv.attempt", "kv.attempt");
-      trace::Annotate(attempt_span, "attempt", ++attempts);
-      ++stats_.single_rpcs;
-      ++slot.client_stats.single_ops;
-      if constexpr (std::is_same_v<T, Status>) {
-        RunMutationAttempt(sim_, network_, AccessOf(slot), client, request,
-                           race, cost_.header_bytes, cost_.failure_timeout,
-                           attempt_span);
-      } else {
-        RunGetAttempt(sim_, network_, AccessOf(slot), client, cost_, request,
-                      race, attempt_span);
-      }
-      if (policy_.op_deadline > 0) {
-        RunDeadline<T>(sim_, race, policy_.op_deadline);
-      }
-      result = co_await attempt;
-      const Status status = StatusOf(result);
-      if (status.ok() || !IsRetryable(status.code())) {
-        slot.breaker.RecordSuccess();
-      } else {
-        const std::uint64_t opens_before = slot.breaker.open_transitions();
-        slot.breaker.RecordFailure(sim_.now());
-        if (slot.breaker.open_transitions() != opens_before) {
-          ++stats_.breaker_opens;
-          ++slot.client_stats.breaker_opens;
-          if (metrics_ != nullptr) ++metrics_->Counter("kv.breaker_opens");
-        }
-        if (status.code() == ErrorCode::kDeadlineExceeded) {
-          ++stats_.deadline_exceeded;
-          ++slot.client_stats.deadline_exceeded;
-          if (metrics_ != nullptr) ++metrics_->Counter("kv.deadline_exceeded");
-        }
-      }
-      GaugeSet(slot.breaker_gauge,
-               static_cast<std::int64_t>(slot.breaker.state()));
-    }
-    const Status status = StatusOf(result);
-    if (status.ok() || !IsRetryable(status.code())) break;
-    const RetryState::Backoff backoff = retry.NextBackoff(rng_, sim_.now());
-    if (!backoff.allowed) break;
-    ++stats_.retries;
-    ++slot.client_stats.retries;
-    if (metrics_ != nullptr) ++metrics_->Counter("kv.retries");
-    {
-      trace::ScopedSpan wait(op_span, "backoff", "retry");
-      co_await sim_.Delay(backoff.nanos);
-    }
-  }
-  done.Set(std::move(result));
 }
 
 sim::Task KvCluster::RunBatchWithRetry(
@@ -634,81 +373,6 @@ sim::Task KvCluster::RunBatchWithRetry(
     }
   }
   done.Set(std::move(outcomes));
-}
-
-sim::Future<Status> KvCluster::Mutate(net::NodeId client, std::uint32_t server,
-                                      BatchKind kind, std::string key,
-                                      Bytes value, const char* metric,
-                                      trace::TraceContext trace) {
-  sim::Promise<Status> done(sim_);
-  auto future = done.GetFuture();
-  const std::uint64_t request =
-      cost_.header_bytes + key.size() + value.StoredSize();
-  trace::TraceContext op_span = trace::Child(trace, metric, "kv");
-  trace::Annotate(op_span, "server", server);
-  trace::Annotate(op_span, "bytes", request);
-  const sim::SimTime service =
-      BatchItemService(cost_, kind, value.StoredSize());
-  RunWithRetry<Status>(
-      server, client,
-      sim::detail::MakePooled<SingleOp>(SingleOp{
-          kind, BatchItem{std::move(key), std::move(value)}, request,
-          service}),
-      std::move(done), op_span);
-  if (metrics_ != nullptr) {
-    RecordKvLatency(future, &sim_, &metrics_->Histogram(metric), sim_.now(),
-                    KvTagOf(op_span, client, server));
-  }
-  return future;
-}
-
-sim::Future<Status> KvCluster::Set(net::NodeId client, std::uint32_t server,
-                                   std::string key, Bytes value,
-                                   trace::TraceContext trace) {
-  return Mutate(client, server, BatchKind::kSet, std::move(key),
-                std::move(value), "kv.set", trace);
-}
-
-sim::Future<Status> KvCluster::Add(net::NodeId client, std::uint32_t server,
-                                   std::string key, Bytes value,
-                                   trace::TraceContext trace) {
-  return Mutate(client, server, BatchKind::kAdd, std::move(key),
-                std::move(value), "kv.add", trace);
-}
-
-sim::Future<Status> KvCluster::Append(net::NodeId client, std::uint32_t server,
-                                      std::string key, Bytes suffix,
-                                      trace::TraceContext trace) {
-  return Mutate(client, server, BatchKind::kAppend, std::move(key),
-                std::move(suffix), "kv.append", trace);
-}
-
-sim::Future<Status> KvCluster::Delete(net::NodeId client, std::uint32_t server,
-                                      std::string key,
-                                      trace::TraceContext trace) {
-  return Mutate(client, server, BatchKind::kDelete, std::move(key), Bytes(),
-                "kv.delete", trace);
-}
-
-sim::Future<Result<Bytes>> KvCluster::Get(net::NodeId client,
-                                          std::uint32_t server,
-                                          std::string key,
-                                          trace::TraceContext trace) {
-  sim::Promise<Result<Bytes>> done(sim_);
-  auto future = done.GetFuture();
-  const std::uint64_t request = cost_.header_bytes + key.size();
-  trace::TraceContext op_span = trace::Child(trace, "kv.get", "kv");
-  trace::Annotate(op_span, "server", server);
-  RunWithRetry<Result<Bytes>>(
-      server, client,
-      sim::detail::MakePooled<SingleOp>(SingleOp{
-          BatchKind::kGet, BatchItem{std::move(key), Bytes()}, request, 0}),
-      std::move(done), op_span);
-  if (metrics_ != nullptr) {
-    RecordKvLatency(future, &sim_, &metrics_->Histogram("kv.get"), sim_.now(),
-                    KvTagOf(op_span, client, server));
-  }
-  return future;
 }
 
 sim::Future<std::vector<BatchItemResult>> KvCluster::Batch(

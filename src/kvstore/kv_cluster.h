@@ -15,8 +15,9 @@
 // known-bad server instead of paying the failure timeout on every stripe.
 // Deadline semantics are gRPC-like: cancellation propagates to the server,
 // so a request that misses its deadline is never applied — which is what
-// makes retrying non-idempotent ADD/APPEND safe. Once the server commits,
-// the client waits for the acknowledgement.
+// makes retrying non-idempotent ADD/APPEND safe. Once the server has applied
+// an item (committed a mutation, read a GET's value), the client waits for
+// the reply instead (the per-item rule is spelled out at Batch()).
 #pragma once
 
 #include <cstdint>
@@ -41,15 +42,6 @@
 
 namespace memfs::kv {
 
-// First-write-wins outcome slot shared by one attempt and its deadline
-// watchdog (defined in kv_cluster.cc).
-template <typename T>
-struct RaceState;
-
-// One single-key operation (kind, key, payload, price) shared by its retry
-// loop and every attempt (defined in kv_cluster.cc).
-struct SingleOp;
-
 struct KvOpCostModel {
   // Server-side service time = base + size * ns_per_byte.
   sim::SimTime set_base = units::Micros(10);
@@ -65,10 +57,10 @@ struct KvOpCostModel {
   std::uint64_t header_bytes = 48;
   // Per-RPC dispatch share of the per-op base constants above: the recv
   // syscall, worker wakeup and command parse that every message pays exactly
-  // once. Single ops pay it implicitly inside their base; a multi-op pays it
-  // on the first item only, so items after the first are priced at
-  // base - rpc_dispatch (this is the libmemcached multi-op amortization the
-  // paper measures in §3.2.2). Must stay below the smallest base.
+  // once. A batch pays it on its first item only (inside that item's base),
+  // so items after the first are priced at base - rpc_dispatch (this is the
+  // libmemcached multi-op amortization the paper measures in §3.2.2). Must
+  // stay below the smallest base.
   sim::SimTime rpc_dispatch = units::Micros(4);
   // Time for a client to give up on a server that is down (connection
   // timeout); used by the fault-tolerance extension.
@@ -80,8 +72,9 @@ struct KvClientPolicy {
   RetryPolicy retry;
   CircuitBreakerConfig breaker;
   // Per-attempt deadline covering queueing, the request leg and service time
-  // up to the server's commit point; 0 disables. A lost or slow request
-  // surfaces as DEADLINE_EXCEEDED (retryable) instead of hanging.
+  // up to the apply point of the attempt's last item (never the reply leg);
+  // 0 disables. A lost or slow request surfaces as DEADLINE_EXCEEDED
+  // (retryable) instead of hanging.
   sim::SimTime op_deadline = 0;
   // Seed of the backoff-jitter stream (fixed default: healthy runs draw
   // nothing, faulty runs are reproducible).
@@ -94,7 +87,9 @@ struct KvClusterStats {
   std::uint64_t deadline_exceeded = 0;   // attempts cut off by the deadline
   std::uint64_t breaker_opens = 0;       // closed/half-open -> open trips
   std::uint64_t breaker_fast_fails = 0;  // requests rejected while open
-  std::uint64_t single_rpcs = 0;         // single-op attempts put on the wire
+  // Always 0: every kv operation rides a batch. Kept only because the
+  // repository benchmark still reads it.
+  std::uint64_t single_rpcs = 0;
   std::uint64_t batch_rpcs = 0;          // batch attempts put on the wire
   std::uint64_t batch_items = 0;         // items carried by those batches
 };
@@ -103,7 +98,6 @@ struct KvClusterStats {
 // server (attempts, retries, breaker trips, batching). Surfaced by
 // tools/memfs_trace's per-server report table.
 struct KvServerClientStats {
-  std::uint64_t single_ops = 0;          // single-op attempts sent
   std::uint64_t batches = 0;             // batch attempts sent
   std::uint64_t batched_items = 0;       // items carried by those batches
   std::uint64_t retries = 0;
@@ -158,36 +152,29 @@ class KvCluster {
   // layered clients (src/io) register their own gauges against it.
   MetricsRegistry* metrics() const { return metrics_; }
 
-  // All operations are addressed by server index (the caller's Distributor
-  // picks the index) and carry the issuing client's node for the network leg.
-  // `trace` (optional) parents a "kv" span covering the whole operation —
-  // every attempt, backoff wait and breaker rejection is recorded under it.
-  [[nodiscard]] sim::Future<Status> Set(net::NodeId client, std::uint32_t server,
-                          std::string key, Bytes value,
-                          trace::TraceContext trace = {});
-  [[nodiscard]] sim::Future<Status> Add(net::NodeId client, std::uint32_t server,
-                          std::string key, Bytes value,
-                          trace::TraceContext trace = {});
-  [[nodiscard]] sim::Future<Result<Bytes>> Get(net::NodeId client, std::uint32_t server,
-                                 std::string key,
-                                 trace::TraceContext trace = {});
-  [[nodiscard]] sim::Future<Status> Append(net::NodeId client, std::uint32_t server,
-                             std::string key, Bytes suffix,
-                             trace::TraceContext trace = {});
-  [[nodiscard]] sim::Future<Status> Delete(net::NodeId client, std::uint32_t server,
-                             std::string key,
-                             trace::TraceContext trace = {});
-
-  // Batch RPC: ships all items to the server in one message (one
-  // header_bytes framing cost for the whole batch), processes them in order
-  // under a single worker slot paying per-item service time, and returns
-  // per-item verdicts aligned with the input. Per-item responses stream back
-  // as each item commits, so when an attempt is cut off (deadline, lost
-  // reply) the client knows exactly which items were applied and retries
-  // only the rest — the non-idempotent ADD/APPEND safety argument of the
-  // single-op path, preserved per item. The "kv.batch" span parents one
-  // "kv.batch.attempt" per wire attempt and a per-key "kv.item" child span
-  // for every processed item.
+  // Batch RPC — the only way a kv operation reaches the wire (a single op is
+  // a batch of one). Addressed by server index (the caller's Distributor
+  // picks it) and carrying the issuing client's node for the network leg, it
+  // ships all items to the server in one message (one header_bytes framing
+  // cost for the whole batch), processes them in order under a single worker
+  // slot paying per-item service time, and returns per-item verdicts aligned
+  // with the input. Per-item responses stream back as each item commits, so
+  // when an attempt is cut off (deadline, lost reply) the client knows
+  // exactly which items were applied and retries only the rest — the
+  // non-idempotent ADD/APPEND safety argument, per item.
+  //
+  // Deadline rule: an item resolves at its apply point, before the reply
+  // leg. A mutation resolves at its commit; a GET resolves when the server
+  // has read and priced its value. Once every item of an attempt has
+  // resolved, the deadline watchdog stands down and the client waits for the
+  // reply, however long its transfer takes — so a large GET whose reply leg
+  // alone outlasts `op_deadline` still returns its value, with no
+  // DEADLINE_EXCEEDED.
+  //
+  // `trace` (optional) parents a "kv.batch" span covering the whole
+  // operation; it parents one "kv.batch.attempt" per wire attempt (every
+  // backoff wait and breaker rejection is recorded under the "kv.batch"
+  // span) and a per-key "kv.item" child span for every processed item.
   [[nodiscard]] sim::Future<std::vector<BatchItemResult>> Batch(
       net::NodeId client, std::uint32_t server, BatchKind kind,
       std::vector<BatchItem> items, trace::TraceContext trace = {});
@@ -260,29 +247,11 @@ class KvCluster {
             slot.objects_gauge, slot.queue_gauge,   slot.inflight_gauge};
   }
 
-  // Retry loop: runs attempts of `request` (each writing into a fresh race
-  // slot, under a fresh "kv.attempt" child of `op_span`) under the client
-  // policy until success, a non-retryable status, or exhaustion. T is Status
-  // (mutations) or Result<Bytes> (GET). Owns ending `op_span`.
-  template <typename T>
-  sim::Task RunWithRetry(std::uint32_t server, net::NodeId client,
-                         std::shared_ptr<SingleOp> request,
-                         sim::Promise<T> done,
-                         trace::TraceContext op_span);
-
-  // Shared front half of Set/Add/Append/Delete: prices the request, hands it
-  // to RunWithRetry and records the client-observed latency under `metric`.
-  [[nodiscard]] sim::Future<Status> Mutate(net::NodeId client,
-                                           std::uint32_t server,
-                                           BatchKind kind, std::string key,
-                                           Bytes value, const char* metric,
-                                           trace::TraceContext trace);
-
   // Batch retry driver: sends the still-unresolved items as one batch
   // attempt per round, demultiplexes the per-item verdicts (resolved items
   // become final; unresolved items inherit the attempt error and form the
-  // next round), and applies the same breaker/backoff/deadline policy as the
-  // single-op path. Owns ending `op_span`.
+  // next round), and applies the client policy: breaker, backoff and
+  // deadline. Owns ending `op_span`.
   sim::Task RunBatchWithRetry(
       std::uint32_t server, BatchKind kind, net::NodeId client,
       std::shared_ptr<std::vector<BatchItem>> items,

@@ -97,8 +97,9 @@ struct MemFsConfig {
   // ignored under append_log.
   mds::MetaConfig meta;
   // Op-scheduler knobs (src/io): per-(client, server) batching of stripe and
-  // metadata RPCs. `io.batching = false` reproduces the one-RPC-per-stripe
-  // data path byte-identically in the event digest.
+  // metadata RPCs. Every storage op rides a batch; `io.max_batch_ops = 1`
+  // sends one RPC per op (with a `window` wide enough not to add lane
+  // backpressure, that is the one-RPC-per-stripe data path).
   io::IoConfig io;
   FuseConfig fuse;
   // Optional per-operation latency instrumentation (owned by the caller;

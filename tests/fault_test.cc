@@ -316,6 +316,8 @@ class FaultClusterTest : public ::testing::Test {
         kv::KvServerConfig{}, kv::KvOpCostModel{}, nullptr, policy);
   }
 
+  testing::OneItemKv Kv() { return {*sim_, *storage_}; }
+
   std::unique_ptr<sim::Simulation> sim_;
   std::unique_ptr<net::FairShareNetwork> network_;
   std::unique_ptr<kv::KvCluster> storage_;
@@ -323,11 +325,11 @@ class FaultClusterTest : public ::testing::Test {
 
 TEST_F(FaultClusterTest, LostRequestsTimeOutAndRetrySucceeds) {
   Recreate({});
-  ASSERT_TRUE(Await(*sim_, storage_->Set(0, 1, "k", Bytes::Copy("v"))).ok());
+  ASSERT_TRUE(Await(*sim_, Kv().Set(0, 1, "k", Bytes::Copy("v"))).ok());
 
   // Total loss on the request leg: every attempt times out client-side.
   network_->SetLinkFault(0, 1, {1.0, 0});
-  auto lost = Await(*sim_, storage_->Get(0, 1, "k"));
+  auto lost = Await(*sim_, Kv().Get(0, 1, "k"));
   EXPECT_EQ(lost.status().code(), ErrorCode::kDeadlineExceeded);
   EXPECT_GT(network_->dropped_messages(), 0u);
   EXPECT_GT(storage_->stats().retries, 0u);
@@ -335,7 +337,7 @@ TEST_F(FaultClusterTest, LostRequestsTimeOutAndRetrySucceeds) {
 
   // Healing the link heals the operation.
   network_->ClearLinkFault(0, 1);
-  auto back = Await(*sim_, storage_->Get(0, 1, "k"));
+  auto back = Await(*sim_, Kv().Get(0, 1, "k"));
   ASSERT_TRUE(back.ok());
   EXPECT_TRUE(back->ContentEquals(Bytes::Copy("v")));
 }
@@ -351,7 +353,7 @@ TEST_F(FaultClusterTest, PartialLossIsAbsorbedByRetries) {
   for (int i = 0; i < 32; ++i) {
     const std::string key = "k" + std::to_string(i);
     ASSERT_TRUE(
-        Await(*sim_, storage_->Set(0, 2, key, Bytes::Copy("v"))).ok())
+        Await(*sim_, Kv().Set(0, 2, key, Bytes::Copy("v"))).ok())
         << key;
   }
   EXPECT_GT(network_->dropped_messages(), 0u);
@@ -362,16 +364,16 @@ TEST_F(FaultClusterTest, SlowServerTripsOpDeadline) {
   kv::KvClientPolicy policy;
   policy.op_deadline = Millis(1);
   Recreate(policy);
-  ASSERT_TRUE(Await(*sim_, storage_->Set(0, 1, "k", Bytes::Copy("v"))).ok());
+  ASSERT_TRUE(Await(*sim_, Kv().Set(0, 1, "k", Bytes::Copy("v"))).ok());
 
   storage_->SetServerSlowdown(1, 1e4);  // 5 us GET -> 50 ms, way past 1 ms
-  auto slow = Await(*sim_, storage_->Get(0, 1, "k"));
+  auto slow = Await(*sim_, Kv().Get(0, 1, "k"));
   EXPECT_EQ(slow.status().code(), ErrorCode::kDeadlineExceeded);
   EXPECT_GT(storage_->stats().deadline_exceeded, 0u);
 
   storage_->SetServerSlowdown(1, 1.0);
   EXPECT_DOUBLE_EQ(storage_->ServerSlowdown(1), 1.0);
-  auto back = Await(*sim_, storage_->Get(0, 1, "k"));
+  auto back = Await(*sim_, Kv().Get(0, 1, "k"));
   ASSERT_TRUE(back.ok());
   EXPECT_TRUE(back->ContentEquals(Bytes::Copy("v")));
 }
@@ -382,11 +384,11 @@ TEST_F(FaultClusterTest, CircuitBreakerOpensFastFailsAndRecovers) {
   policy.breaker.failure_threshold = 2;
   policy.breaker.open_duration = Millis(5);
   Recreate(policy);
-  ASSERT_TRUE(Await(*sim_, storage_->Set(0, 1, "k", Bytes::Copy("v"))).ok());
+  ASSERT_TRUE(Await(*sim_, Kv().Set(0, 1, "k", Bytes::Copy("v"))).ok());
 
   storage_->SetServerDown(1, true);
   for (int i = 0; i < 2; ++i) {
-    auto r = Await(*sim_, storage_->Get(0, 1, "k"));
+    auto r = Await(*sim_, Kv().Get(0, 1, "k"));
     EXPECT_EQ(r.status().code(), ErrorCode::kUnavailable);
   }
   EXPECT_EQ(storage_->BreakerState(1), CircuitBreaker::State::kOpen);
@@ -395,7 +397,7 @@ TEST_F(FaultClusterTest, CircuitBreakerOpensFastFailsAndRecovers) {
   // While open, requests are rejected instantly instead of eating the
   // 1 ms connection timeout.
   const auto t0 = sim_->now();
-  auto rejected = Await(*sim_, storage_->Get(0, 1, "k"));
+  auto rejected = Await(*sim_, Kv().Get(0, 1, "k"));
   EXPECT_EQ(rejected.status().code(), ErrorCode::kUnavailable);
   EXPECT_LT(sim_->now() - t0, Millis(1));
   EXPECT_GT(storage_->stats().breaker_fast_fails, 0u);
@@ -405,7 +407,7 @@ TEST_F(FaultClusterTest, CircuitBreakerOpensFastFailsAndRecovers) {
   storage_->SetServerDown(1, false);
   sim_->Schedule(Millis(6), [] {});
   sim_->Run();
-  auto back = Await(*sim_, storage_->Get(0, 1, "k"));
+  auto back = Await(*sim_, Kv().Get(0, 1, "k"));
   ASSERT_TRUE(back.ok());
   EXPECT_TRUE(back->ContentEquals(Bytes::Copy("v")));
   EXPECT_EQ(storage_->BreakerState(1), CircuitBreaker::State::kClosed);
@@ -414,20 +416,20 @@ TEST_F(FaultClusterTest, CircuitBreakerOpensFastFailsAndRecovers) {
 TEST_F(FaultClusterTest, WipeOnRestartClearsData) {
   Recreate({});
   ASSERT_TRUE(
-      Await(*sim_, storage_->Set(0, 1, "k", Bytes::Synthetic(KiB(4), 7)))
+      Await(*sim_, Kv().Set(0, 1, "k", Bytes::Synthetic(KiB(4), 7)))
           .ok());
   ASSERT_GT(storage_->server(1).memory_used(), 0u);
 
   // Restart with data intact: the value survives.
   storage_->SetServerDown(1, true);
   storage_->SetServerDown(1, false);
-  EXPECT_TRUE(Await(*sim_, storage_->Get(0, 1, "k")).ok());
+  EXPECT_TRUE(Await(*sim_, Kv().Get(0, 1, "k")).ok());
 
   // Restart as an empty process: RAM is gone.
   storage_->SetServerDown(1, true);
   storage_->SetServerDown(1, false, /*wipe_on_restart=*/true);
   EXPECT_EQ(storage_->server(1).memory_used(), 0u);
-  auto gone = Await(*sim_, storage_->Get(0, 1, "k"));
+  auto gone = Await(*sim_, Kv().Get(0, 1, "k"));
   EXPECT_EQ(gone.status().code(), ErrorCode::kNotFound);
 }
 

@@ -14,6 +14,7 @@
 #include "kvstore/kv_server.h"
 #include "net/fluid_network.h"
 #include "test_util.h"
+#include "trace/trace.h"
 
 namespace memfs {
 namespace {
@@ -122,7 +123,6 @@ TEST_F(KvBatchClusterTest, BatchRoundTripAndStats) {
 
   EXPECT_EQ(cluster_.stats().batch_rpcs, 2u);
   EXPECT_EQ(cluster_.stats().batch_items, 6u);
-  EXPECT_EQ(cluster_.stats().single_rpcs, 0u);
   EXPECT_EQ(cluster_.server_stats(1).batches, 2u);
   EXPECT_EQ(cluster_.server_stats(1).batched_items, 6u);
   EXPECT_EQ(cluster_.server_stats(0).batches, 0u);
@@ -131,21 +131,60 @@ TEST_F(KvBatchClusterTest, BatchRoundTripAndStats) {
   EXPECT_EQ(cluster_.server(1).stats().gets, 3u);
 }
 
-TEST_F(KvBatchClusterTest, BatchOfOneMatchesSingleOpCost) {
-  // A batch of one pays the same framing + service as the single-op path.
-  const auto t0 = sim_.now();
-  (void)Await(sim_, cluster_.Set(0, 1, "single", Bytes::Synthetic(2048, 1)));
-  const auto single = sim_.now() - t0;
+TEST_F(KvBatchClusterTest, BatchItemPricingAmortizesRpcDispatch) {
+  // Each processed item runs under its own "kv.item" span whose duration is
+  // exactly its service time (healthy server, slowdown 1.0). The first item
+  // of a message pays base + ns_per_byte * bytes, which includes the
+  // message's one rpc_dispatch; every later item rides that dispatch.
+  trace::Tracer tracer(sim_);
+  const kv::KvOpCostModel& cost = cluster_.cost_model();
+  const std::vector<std::uint64_t> sizes = {2048, 100, 7000};
+  std::vector<std::pair<std::string, Bytes>> pairs;
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    pairs.emplace_back("k" + std::to_string(i),
+                       Bytes::Synthetic(sizes[i], i));
+  }
+  auto priced = [&](sim::SimTime base, double ns_per_byte, std::uint64_t n) {
+    return base + static_cast<sim::SimTime>(ns_per_byte *
+                                            static_cast<double>(n));
+  };
+  // Item durations of the batch traced under `root`, in processing order.
+  auto item_spans = [&](const trace::TraceContext& root) {
+    std::vector<sim::SimTime> durations;
+    for (const trace::SpanRecord& span : tracer.finished()) {
+      if (span.trace_id == root.trace_id && span.name == "kv.item") {
+        durations.push_back(span.end - span.start);
+      }
+    }
+    return durations;
+  };
 
-  const auto t1 = sim_.now();
-  auto results =
-      Await(sim_, cluster_.Batch(0, 1, kv::BatchKind::kSet,
-                                 MakeItems({{"batchd", // same key length
-                                             Bytes::Synthetic(2048, 2)}})));
-  const auto batched = sim_.now() - t1;
-  ASSERT_EQ(results.size(), 1u);
-  EXPECT_TRUE(results[0].status.ok());
-  EXPECT_EQ(single, batched);
+  const trace::TraceContext set_root = tracer.StartTrace("set", "test");
+  auto set = Await(sim_, cluster_.Batch(0, 1, kv::BatchKind::kSet,
+                                        MakeItems(pairs), set_root));
+  for (const auto& item : set) ASSERT_TRUE(item.status.ok());
+  const std::vector<sim::SimTime> set_items = item_spans(set_root);
+  ASSERT_EQ(set_items.size(), sizes.size());
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    const sim::SimTime full =
+        priced(cost.set_base, cost.set_ns_per_byte, sizes[i]);
+    EXPECT_EQ(set_items[i], i == 0 ? full : full - cost.rpc_dispatch) << i;
+  }
+
+  // GETs are priced on the value they return.
+  const trace::TraceContext get_root = tracer.StartTrace("get", "test");
+  auto got = Await(sim_, cluster_.Batch(
+                             2, 1, kv::BatchKind::kGet,
+                             MakeItems({{"k0", {}}, {"k1", {}}, {"k2", {}}}),
+                             get_root));
+  for (const auto& item : got) ASSERT_TRUE(item.status.ok());
+  const std::vector<sim::SimTime> get_items = item_spans(get_root);
+  ASSERT_EQ(get_items.size(), sizes.size());
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    const sim::SimTime full =
+        priced(cost.get_base, cost.get_ns_per_byte, sizes[i]);
+    EXPECT_EQ(get_items[i], i == 0 ? full : full - cost.rpc_dispatch) << i;
+  }
 }
 
 class KvBatchDeadlineTest : public KvBatchClusterTest {
@@ -181,6 +220,35 @@ TEST_F(KvBatchDeadlineTest, PartialBatchRetriesOnlyUnresolvedItems) {
   EXPECT_EQ(cluster_.server_stats(1).batches, 2u);
   EXPECT_EQ(cluster_.server_stats(1).batched_items, 5u);  // 4 + 1 retried
   EXPECT_GE(cluster_.server_stats(1).retries, 1u);
+}
+
+TEST(KvBatchGetDeadlineTest, ResolvedGetOutlivesDeadlineOnItsReply) {
+  // A GET item resolves when the server has read (and priced) its value,
+  // before the reply leg; from then on the deadline watchdog stands down.
+  // Here the request leg and service fit well inside the 1 ms deadline but
+  // the 4 MiB reply alone takes ~4 ms on IPoIB — the value still arrives,
+  // on the first attempt.
+  sim::Simulation sim;
+  net::FairShareNetwork network(sim, net::Das4Ipoib(4));
+  kv::KvClientPolicy policy;
+  policy.op_deadline = units::Millis(1);
+  kv::KvCluster cluster(sim, network, {0, 1, 2, 3}, kv::KvServerConfig{},
+                        kv::KvOpCostModel{}, nullptr, policy);
+  const Bytes value = Bytes::Synthetic(units::MiB(4), 9);
+  // Seeded server-side: a 4 MiB SET would itself outlast the deadline.
+  ASSERT_TRUE(cluster.server(1).Set("big", value).ok());
+
+  const auto t0 = sim.now();
+  auto got = Await(sim, cluster.Batch(0, 1, kv::BatchKind::kGet,
+                                      MakeItems({{"big", {}}})));
+  const auto elapsed = sim.now() - t0;
+  ASSERT_EQ(got.size(), 1u);
+  ASSERT_TRUE(got[0].status.ok()) << got[0].status.ToString();
+  EXPECT_TRUE(got[0].value.ContentEquals(value));
+  EXPECT_GT(elapsed, 3 * policy.op_deadline);  // the reply outlasted it
+  EXPECT_EQ(cluster.stats().deadline_exceeded, 0u);
+  EXPECT_EQ(cluster.stats().retries, 0u);
+  EXPECT_EQ(cluster.server_stats(1).batches, 1u);
 }
 
 TEST_F(KvBatchClusterTest, BatchRetriesAcrossServerDowntime) {
@@ -252,9 +320,7 @@ TEST(OpSchedulerTest, SameInstantOpsCoalesceIntoOneBatch) {
   EXPECT_EQ(sched.stats().batched_ops, 8u);
   EXPECT_EQ(sched.stats().batches, 1u);
   EXPECT_EQ(sched.stats().max_batch, 8u);
-  EXPECT_EQ(sched.stats().passthrough_ops, 0u);
   EXPECT_EQ(cluster.stats().batch_rpcs, 1u);
-  EXPECT_EQ(cluster.stats().single_rpcs, 0u);
 
   // Reads drain back through the same lane, batched too.
   std::vector<sim::Future<Result<Bytes>>> reads;
@@ -289,27 +355,6 @@ TEST(OpSchedulerTest, BatchCeilingSplitsLargeBursts) {
   EXPECT_EQ(sched.stats().batched_ops, 10u);
   EXPECT_EQ(sched.stats().batches, 3u);  // 4 + 4 + 2
   EXPECT_EQ(sched.stats().max_batch, 4u);
-}
-
-TEST(OpSchedulerTest, BatchingOffIsPurePassthrough) {
-  sim::Simulation sim;
-  net::FairShareNetwork network(sim, net::Das4Ipoib(2));
-  kv::KvCluster cluster(sim, network, {0, 1});
-  io::IoConfig config;
-  config.batching = false;
-  io::OpScheduler sched(sim, cluster, config);
-
-  std::vector<sim::Future<Status>> writes;
-  for (int i = 0; i < 6; ++i) {
-    writes.push_back(sched.Set(0, 1, "k" + std::to_string(i),
-                               Bytes::Synthetic(128, i)));
-  }
-  sim.Run();
-  for (auto& f : writes) EXPECT_TRUE(f.value().ok());
-  EXPECT_EQ(sched.stats().passthrough_ops, 6u);
-  EXPECT_EQ(sched.stats().batches, 0u);
-  EXPECT_EQ(cluster.stats().single_rpcs, 6u);
-  EXPECT_EQ(cluster.stats().batch_rpcs, 0u);
 }
 
 TEST(OpSchedulerTest, MixedKindsSplitIntoPerKindBatches) {

@@ -132,12 +132,13 @@ class KvClusterTest : public ::testing::Test {
   sim::Simulation sim_;
   net::FairShareNetwork network_;
   KvCluster cluster_;
+  testing::OneItemKv kv_{sim_, cluster_};
 };
 
 TEST_F(KvClusterTest, RemoteSetGetRoundTrip) {
-  Status set = Await(sim_, cluster_.Set(0, 2, "key", Bytes::Copy("payload")));
+  Status set = Await(sim_, kv_.Set(0, 2, "key", Bytes::Copy("payload")));
   EXPECT_TRUE(set.ok());
-  auto got = Await(sim_, cluster_.Get(3, 2, "key"));
+  auto got = Await(sim_, kv_.Get(3, 2, "key"));
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(got->view(), "payload");
   EXPECT_GT(sim_.now(), 0u);
@@ -145,7 +146,7 @@ TEST_F(KvClusterTest, RemoteSetGetRoundTrip) {
 
 TEST_F(KvClusterTest, OperationsTakeSimulatedTime) {
   const auto t0 = sim_.now();
-  (void)Await(sim_, cluster_.Set(0, 1, "k", Bytes::Synthetic(units::MiB(1), 5)));
+  (void)Await(sim_, kv_.Set(0, 1, "k", Bytes::Synthetic(units::MiB(1), 5)));
   const auto elapsed = sim_.now() - t0;
   // 1 MB at 1 GB/s is 1 ms; plus latency and service time.
   EXPECT_GT(elapsed, units::Millis(1));
@@ -153,13 +154,13 @@ TEST_F(KvClusterTest, OperationsTakeSimulatedTime) {
 }
 
 TEST_F(KvClusterTest, LocalOpsFasterThanRemote) {
-  (void)Await(sim_, cluster_.Set(0, 0, "local", Bytes::Synthetic(1024, 1)));
-  (void)Await(sim_, cluster_.Set(0, 1, "remote", Bytes::Synthetic(1024, 1)));
+  (void)Await(sim_, kv_.Set(0, 0, "local", Bytes::Synthetic(1024, 1)));
+  (void)Await(sim_, kv_.Set(0, 1, "remote", Bytes::Synthetic(1024, 1)));
 
   auto time_get = [&](net::NodeId client, std::uint32_t server,
                       const std::string& key) {
     const auto t0 = sim_.now();
-    auto result = Await(sim_, cluster_.Get(client, server, key));
+    auto result = Await(sim_, kv_.Get(client, server, key));
     EXPECT_TRUE(result.ok());
     return sim_.now() - t0;
   };
@@ -169,32 +170,32 @@ TEST_F(KvClusterTest, LocalOpsFasterThanRemote) {
 }
 
 TEST_F(KvClusterTest, AddAndAppendSemanticsOverNetwork) {
-  EXPECT_TRUE(Await(sim_, cluster_.Add(0, 1, "k", Bytes::Copy("v1"))).ok());
-  EXPECT_EQ(Await(sim_, cluster_.Add(0, 1, "k", Bytes::Copy("v2"))).code(),
+  EXPECT_TRUE(Await(sim_, kv_.Add(0, 1, "k", Bytes::Copy("v1"))).ok());
+  EXPECT_EQ(Await(sim_, kv_.Add(0, 1, "k", Bytes::Copy("v2"))).code(),
             ErrorCode::kExists);
-  EXPECT_TRUE(Await(sim_, cluster_.Append(2, 1, "k", Bytes::Copy("+"))).ok());
-  auto got = Await(sim_, cluster_.Get(3, 1, "k"));
+  EXPECT_TRUE(Await(sim_, kv_.Append(2, 1, "k", Bytes::Copy("+"))).ok());
+  auto got = Await(sim_, kv_.Get(3, 1, "k"));
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(got->view(), "v1+");
 }
 
 TEST_F(KvClusterTest, DeleteOverNetwork) {
-  (void)Await(sim_, cluster_.Set(0, 3, "k", Bytes::Copy("x")));
-  EXPECT_TRUE(Await(sim_, cluster_.Delete(1, 3, "k")).ok());
-  EXPECT_EQ(Await(sim_, cluster_.Get(2, 3, "k")).status().code(),
+  (void)Await(sim_, kv_.Set(0, 3, "k", Bytes::Copy("x")));
+  EXPECT_TRUE(Await(sim_, kv_.Delete(1, 3, "k")).ok());
+  EXPECT_EQ(Await(sim_, kv_.Get(2, 3, "k")).status().code(),
             ErrorCode::kNotFound);
 }
 
 TEST_F(KvClusterTest, ConcurrentAppendsAllLand) {
-  (void)Await(sim_, cluster_.Set(0, 0, "log", Bytes::Copy("")));
+  (void)Await(sim_, kv_.Set(0, 0, "log", Bytes::Copy("")));
   std::vector<sim::Future<Status>> futures;
   for (int i = 0; i < 10; ++i) {
     futures.push_back(
-        cluster_.Append(i % 4, 0, "log", Bytes::Copy("x")));
+        kv_.Append(i % 4, 0, "log", Bytes::Copy("x")));
   }
   sim_.Run();
   for (auto& f : futures) EXPECT_TRUE(f.value().ok());
-  auto got = Await(sim_, cluster_.Get(0, 0, "log"));
+  auto got = Await(sim_, kv_.Get(0, 0, "log"));
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(got->size(), 10u);
 }
@@ -203,7 +204,7 @@ TEST_F(KvClusterTest, WorkerLimitSerializesLoad) {
   // More concurrent ops than workers; all must still complete.
   std::vector<sim::Future<Status>> futures;
   for (int i = 0; i < 64; ++i) {
-    futures.push_back(cluster_.Set(i % 4, 1, "k" + std::to_string(i),
+    futures.push_back(kv_.Set(i % 4, 1, "k" + std::to_string(i),
                                    Bytes::Synthetic(2048, i)));
   }
   sim_.Run();
@@ -212,8 +213,8 @@ TEST_F(KvClusterTest, WorkerLimitSerializesLoad) {
 }
 
 TEST_F(KvClusterTest, TotalMemoryAggregates) {
-  (void)Await(sim_, cluster_.Set(0, 0, "a", Bytes::Synthetic(100, 1)));
-  (void)Await(sim_, cluster_.Set(0, 1, "b", Bytes::Synthetic(200, 2)));
+  (void)Await(sim_, kv_.Set(0, 0, "a", Bytes::Synthetic(100, 1)));
+  (void)Await(sim_, kv_.Set(0, 1, "b", Bytes::Synthetic(200, 2)));
   EXPECT_EQ(cluster_.total_memory_used(), 300u);
 }
 
@@ -242,28 +243,29 @@ class KvGaugeTest : public ::testing::Test {
   MetricsRegistry metrics_;
   net::FairShareNetwork network_;
   KvCluster cluster_;
+  testing::OneItemKv kv_{sim_, cluster_};
 };
 
 TEST_F(KvGaugeTest, SetUpdatesMemoryAndObjectGauges) {
-  ASSERT_TRUE(Await(sim_, cluster_.Set(0, 1, "k", Bytes::Synthetic(100, 1)))
+  ASSERT_TRUE(Await(sim_, kv_.Set(0, 1, "k", Bytes::Synthetic(100, 1)))
                   .ok());
   EXPECT_EQ(MemGauge(1), 100);
   EXPECT_EQ(ObjectsGauge(1), 1);
   EXPECT_EQ(MemGauge(1),
             static_cast<std::int64_t>(cluster_.server(1).memory_used()));
   // Overwriting replaces, not adds.
-  ASSERT_TRUE(Await(sim_, cluster_.Set(0, 1, "k", Bytes::Synthetic(40, 2)))
+  ASSERT_TRUE(Await(sim_, kv_.Set(0, 1, "k", Bytes::Synthetic(40, 2)))
                   .ok());
   EXPECT_EQ(MemGauge(1), 40);
   EXPECT_EQ(ObjectsGauge(1), 1);
 }
 
 TEST_F(KvGaugeTest, AppendGrowthTracked) {
-  ASSERT_TRUE(Await(sim_, cluster_.Set(0, 2, "log", Bytes::Synthetic(10, 1)))
+  ASSERT_TRUE(Await(sim_, kv_.Set(0, 2, "log", Bytes::Synthetic(10, 1)))
                   .ok());
   for (int i = 0; i < 5; ++i) {
     ASSERT_TRUE(
-        Await(sim_, cluster_.Append(0, 2, "log", Bytes::Synthetic(7, i)))
+        Await(sim_, kv_.Append(0, 2, "log", Bytes::Synthetic(7, i)))
             .ok());
     EXPECT_EQ(MemGauge(2), 10 + 7 * (i + 1));
   }
@@ -273,22 +275,22 @@ TEST_F(KvGaugeTest, AppendGrowthTracked) {
 }
 
 TEST_F(KvGaugeTest, DeleteReclaimsGaugedMemory) {
-  ASSERT_TRUE(Await(sim_, cluster_.Set(0, 0, "a", Bytes::Synthetic(64, 1)))
+  ASSERT_TRUE(Await(sim_, kv_.Set(0, 0, "a", Bytes::Synthetic(64, 1)))
                   .ok());
-  ASSERT_TRUE(Await(sim_, cluster_.Set(0, 0, "b", Bytes::Synthetic(36, 2)))
+  ASSERT_TRUE(Await(sim_, kv_.Set(0, 0, "b", Bytes::Synthetic(36, 2)))
                   .ok());
   EXPECT_EQ(MemGauge(0), 100);
   EXPECT_EQ(ObjectsGauge(0), 2);
-  ASSERT_TRUE(Await(sim_, cluster_.Delete(0, 0, "a")).ok());
+  ASSERT_TRUE(Await(sim_, kv_.Delete(0, 0, "a")).ok());
   EXPECT_EQ(MemGauge(0), 36);
   EXPECT_EQ(ObjectsGauge(0), 1);
-  ASSERT_TRUE(Await(sim_, cluster_.Delete(0, 0, "b")).ok());
+  ASSERT_TRUE(Await(sim_, kv_.Delete(0, 0, "b")).ok());
   EXPECT_EQ(MemGauge(0), 0);
   EXPECT_EQ(ObjectsGauge(0), 0);
 }
 
 TEST_F(KvGaugeTest, WipeOnRestartZeroesGauges) {
-  ASSERT_TRUE(Await(sim_, cluster_.Set(0, 3, "k", Bytes::Synthetic(128, 1)))
+  ASSERT_TRUE(Await(sim_, kv_.Set(0, 3, "k", Bytes::Synthetic(128, 1)))
                   .ok());
   EXPECT_EQ(MemGauge(3), 128);
   cluster_.SetServerDown(3, true, /*wipe_on_restart=*/true);

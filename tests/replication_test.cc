@@ -229,7 +229,8 @@ TEST_F(ReplicationTest, DownServerTimesOutClients) {
   Recreate(1);
   storage_->SetServerDown(2, true);
   const auto t0 = sim_->now();
-  auto result = Await(*sim_, storage_->Get(0, 2, "anything"));
+  testing::OneItemKv kv(*sim_, *storage_);
+  auto result = Await(*sim_, kv.Get(0, 2, "anything"));
   EXPECT_EQ(result.status().code(), ErrorCode::kUnavailable);
   EXPECT_GE(sim_->now() - t0, units::Millis(1));
   // The client retried (with backoff) before giving up.

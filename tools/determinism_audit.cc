@@ -268,7 +268,7 @@ sim::Task RunElasticDriver(sim::Simulation& sim, kv::Membership& membership,
        membership.state(drain_server) == kv::NodeState::kLeft;
 }
 
-AuditRun RunOnce(std::uint64_t seed, bool batching) {
+AuditRun RunOnce(std::uint64_t seed) {
   sim::Simulation sim;
   sim::SimChecker checker(sim);
   net::FairShareNetwork network(sim, net::Das4Ipoib(kNodes));
@@ -284,7 +284,6 @@ AuditRun RunOnce(std::uint64_t seed, bool batching) {
                         policy);
   fs::MemFsConfig config;
   config.replication = 2;
-  config.io.batching = batching;
   fs::MemFs memfs(sim, network, storage, config);
 
   sim::FaultHooks hooks;
@@ -439,14 +438,11 @@ AuditRun RunElasticOnce(std::uint64_t seed) {
 }  // namespace memfs
 
 int main() {
-  // Batched data path (the default config) and the batching=off passthrough
-  // are audited independently: each must be self-deterministic, and seed
-  // diversity must show through both.
-  const auto first = memfs::RunOnce(7, /*batching=*/true);
-  const auto second = memfs::RunOnce(7, /*batching=*/true);
-  const auto other = memfs::RunOnce(8, /*batching=*/true);
-  const auto plain1 = memfs::RunOnce(7, /*batching=*/false);
-  const auto plain2 = memfs::RunOnce(7, /*batching=*/false);
+  // The batched data path (every kv op rides a batch): self-deterministic,
+  // pinned for seed 7, and seed diversity must show through.
+  const auto first = memfs::RunOnce(7);
+  const auto second = memfs::RunOnce(7);
+  const auto other = memfs::RunOnce(8);
   // Elastic gate: the same faulted workload with a join + drain mid-traffic.
   const auto elastic1 = memfs::RunElasticOnce(7);
   const auto elastic2 = memfs::RunElasticOnce(7);
@@ -469,36 +465,30 @@ int main() {
   std::printf("run 3 (seed 8, batched): digest=%016llx events=%llu\n",
               static_cast<unsigned long long>(other.digest),
               static_cast<unsigned long long>(other.events));
-  std::printf("run 4 (seed 7, unbatched): digest=%016llx events=%llu\n",
-              static_cast<unsigned long long>(plain1.digest),
-              static_cast<unsigned long long>(plain1.events));
-  std::printf("run 5 (seed 7, unbatched): digest=%016llx events=%llu\n",
-              static_cast<unsigned long long>(plain2.digest),
-              static_cast<unsigned long long>(plain2.events));
-  std::printf("run 6 (seed 7, elastic): digest=%016llx events=%llu "
+  std::printf("run 4 (seed 7, elastic): digest=%016llx events=%llu "
               "faults=%llu writes_ok=%u reads_intact=%u committed=%d\n",
               static_cast<unsigned long long>(elastic1.digest),
               static_cast<unsigned long long>(elastic1.events),
               static_cast<unsigned long long>(elastic1.fault_events),
               elastic1.writes_ok, elastic1.reads_intact,
               elastic1.elastic_ok ? 1 : 0);
-  std::printf("run 7 (seed 7, elastic): digest=%016llx events=%llu\n",
+  std::printf("run 5 (seed 7, elastic): digest=%016llx events=%llu\n",
               static_cast<unsigned long long>(elastic2.digest),
               static_cast<unsigned long long>(elastic2.events));
-  std::printf("run 8 (seed 8, elastic): digest=%016llx events=%llu\n",
+  std::printf("run 6 (seed 8, elastic): digest=%016llx events=%llu\n",
               static_cast<unsigned long long>(elastic3.digest),
               static_cast<unsigned long long>(elastic3.events));
-  std::printf("run 9 (seed 7, sharded): digest=%016llx events=%llu "
+  std::printf("run 7 (seed 7, sharded): digest=%016llx events=%llu "
               "faults=%llu ops_ok=%u pending=%u listed=%llu\n",
               static_cast<unsigned long long>(sharded1.digest),
               static_cast<unsigned long long>(sharded1.events),
               static_cast<unsigned long long>(sharded1.fault_events),
               sharded1.reads_intact, sharded1.pending_intents,
               static_cast<unsigned long long>(sharded1.listed_entries));
-  std::printf("run 10 (seed 7, sharded): digest=%016llx events=%llu\n",
+  std::printf("run 8 (seed 7, sharded): digest=%016llx events=%llu\n",
               static_cast<unsigned long long>(sharded2.digest),
               static_cast<unsigned long long>(sharded2.events));
-  std::printf("run 11 (seed 8, sharded): digest=%016llx events=%llu\n",
+  std::printf("run 9 (seed 8, sharded): digest=%016llx events=%llu\n",
               static_cast<unsigned long long>(sharded3.digest),
               static_cast<unsigned long long>(sharded3.events));
 
@@ -516,12 +506,6 @@ int main() {
     std::fprintf(stderr,
                  "FAIL: same-seed batched runs diverged — nondeterminism in "
                  "the event stream\n");
-    failed = true;
-  }
-  if (plain1.digest != plain2.digest) {
-    std::fprintf(stderr,
-                 "FAIL: same-seed unbatched runs diverged — nondeterminism "
-                 "in the passthrough path\n");
     failed = true;
   }
   if (first.digest == other.digest) {
@@ -580,9 +564,8 @@ int main() {
       break;
     }
   }
-  for (const auto* run : {&first, &second, &other, &plain1, &plain2,
-                          &elastic1, &elastic2, &elastic3, &sharded1,
-                          &sharded2, &sharded3}) {
+  for (const auto* run : {&first, &second, &other, &elastic1, &elastic2,
+                          &elastic3, &sharded1, &sharded2, &sharded3}) {
     if (!run->checker_summary.empty()) {
       std::fprintf(stderr, "FAIL: SimChecker findings:\n%s",
                    run->checker_summary.c_str());

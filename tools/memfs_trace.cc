@@ -169,21 +169,21 @@ int main(int argc, char** argv) {
   // where retries / breaker trips / batching concentrated.
   if (kv::KvCluster* storage = bed.storage()) {
     std::cout << "\n# per-server kv activity\n";
-    Table servers({"server", "single", "batches", "items", "ops/rpc",
-                   "retries", "deadline", "breaker", "srv ops"});
+    Table servers({"server", "batches", "items", "ops/rpc", "retries",
+                   "deadline", "breaker", "srv ops"});
     for (std::uint32_t s = 0; s < storage->server_count(); ++s) {
       const kv::KvServerClientStats& client = storage->server_stats(s);
       const kv::KvServerStats& srv = storage->server(s).stats();
-      const std::uint64_t rpcs = client.single_ops + client.batches;
-      const std::uint64_t ops = client.single_ops + client.batched_items;
       const std::uint64_t served = srv.sets + srv.adds + srv.gets +
                                    srv.appends + srv.deletes;
-      servers.AddRow({Table::Int(s), Table::Int(client.single_ops),
-                      Table::Int(client.batches),
+      servers.AddRow({Table::Int(s), Table::Int(client.batches),
                       Table::Int(client.batched_items),
-                      Table::Num(rpcs == 0 ? 0.0
-                                           : static_cast<double>(ops) /
-                                                 static_cast<double>(rpcs),
+                      Table::Num(client.batches == 0
+                                     ? 0.0
+                                     : static_cast<double>(
+                                           client.batched_items) /
+                                           static_cast<double>(
+                                               client.batches),
                                  2),
                       Table::Int(client.retries),
                       Table::Int(client.deadline_exceeded),
